@@ -41,6 +41,12 @@ REPRO_JOBS=4 dune exec test/main.exe -- test 'sim.obs' -q
 REPRO_JOBS=4 dune exec test/main.exe -- test 'sim.hunt' -q
 REPRO_JOBS=4 dune exec test/main.exe -- test 'sim.hunt.corpus' -q
 
+# The pulling suites, with real concurrency: pulling.sampled runs
+# Pull_sim over one Sampled spec shared by REPRO_JOBS domains and must
+# reproduce the sequential runs (kernel scratch is per run, never per
+# spec); pulling.oracle holds the kernel to the boxed reference.
+REPRO_JOBS=4 dune exec test/main.exe -- test 'pulling.*' -q
+
 # Chaos smoke: a fixed-seed campaign on A(4,1) must re-stabilise after
 # every scheduled perturbation (countctl exits non-zero otherwise), and
 # must do so identically across worker domains. The emitted trace must

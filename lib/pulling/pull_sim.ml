@@ -68,7 +68,11 @@ type 's run = {
 (* Shared stepping core. [observe ~round ~states ~outputs] is called for
    every simulated round (including round 0) and decides whether to keep
    going; the RNG stream layout is identical for every caller so the
-   streaming and full-trace entry points replay the same execution. *)
+   streaming and full-trace entry points replay the same execution.
+
+   One kernel serves the whole run, and every per-round array is a
+   buffer reused across rounds: the state vectors are double-buffered,
+   and [observe] sees the live buffers, so it must copy what it keeps. *)
 let simulate ?init ~(spec : 's Pull_spec.t) ~responder ~faulty ~rounds ~seed
     ~observe () =
   let n = spec.Pull_spec.n in
@@ -93,48 +97,54 @@ let simulate ?init ~(spec : 's Pull_spec.t) ~responder ~faulty ~rounds ~seed
       Array.copy s
     | None -> Array.init n (fun _ -> spec.Pull_spec.random_state init_rng)
   in
+  let kernel = spec.Pull_spec.fresh_kernel () in
+  let budget = spec.Pull_spec.pull_budget in
+  let targets = Array.make budget 0 in
+  let responses = Array.make budget initial.(0) in
+  let outputs = Array.make n 0 in
   let max_pulls = ref 0 in
   let total_pulls = ref 0 in
-  let current = ref initial in
+  let cur = ref initial in
+  let next = ref (Array.copy initial) in
   let t = ref 0 in
   let stop = ref false in
   while not !stop do
-    let cur = !current in
-    let outs = Array.mapi (fun v s -> spec.Pull_spec.output ~self:v s) cur in
-    let keep_going = observe ~round:!t ~states:cur ~outputs:outs in
+    let states = !cur in
+    for v = 0 to n - 1 do
+      outputs.(v) <- spec.Pull_spec.output ~self:v states.(v)
+    done;
+    let keep_going = observe ~round:!t ~states ~outputs in
     if (not keep_going) || !t >= rounds then stop := true
     else begin
-      let next =
-        Array.init n (fun v ->
-            if is_faulty.(v) then cur.(v)
-            else begin
-              let targets =
-                spec.Pull_spec.pulls ~self:v ~rng:node_rng.(v) cur.(v)
-              in
-              let pulls = Array.length targets in
-              total_pulls := !total_pulls + pulls;
-              if pulls > !max_pulls then max_pulls := pulls;
-              let responses =
-                Array.map
-                  (fun u ->
-                    let reply =
-                      if is_faulty.(u) then
-                        responder.respond ~spec ~rng:adv_rng ~round:!t
-                          ~states:cur ~target:u ~puller:v
-                      else cur.(u)
-                    in
-                    (u, reply))
-                  targets
-              in
-              spec.Pull_spec.transition ~self:v ~rng:node_rng.(v) ~own:cur.(v)
-                ~responses
-            end)
-      in
-      current := next;
+      let next_states = !next in
+      for v = 0 to n - 1 do
+        next_states.(v) <-
+          (if is_faulty.(v) then states.(v)
+           else begin
+             let rng = node_rng.(v) in
+             let pulls = kernel.Pull_spec.pulls ~self:v ~rng states.(v) targets in
+             if pulls > budget then
+               invalid_arg "Pull_sim.run: pulls exceed the spec's pull_budget";
+             total_pulls := !total_pulls + pulls;
+             if pulls > !max_pulls then max_pulls := pulls;
+             for i = 0 to pulls - 1 do
+               let u = targets.(i) in
+               responses.(i) <-
+                 (if is_faulty.(u) then
+                    responder.respond ~spec ~rng:adv_rng ~round:!t ~states
+                      ~target:u ~puller:v
+                  else states.(u))
+             done;
+             kernel.Pull_spec.transition ~self:v ~rng ~own:states.(v) ~targets
+               ~responses
+           end)
+      done;
+      next := states;
+      cur := next_states;
       incr t
     end
   done;
-  (faulty, !t, !current, !max_pulls, !total_pulls)
+  (faulty, !t, !cur, !max_pulls, !total_pulls)
 
 let bits_pulled_per_round ~(spec : 's Pull_spec.t) ~faulty ~rounds ~total_pulls
     =
@@ -148,8 +158,8 @@ let run ?init ~(spec : 's Pull_spec.t) ~responder ~faulty ~rounds ~seed () =
   let states = Array.make (rounds + 1) [||] in
   let outputs = Array.make (rounds + 1) [||] in
   let observe ~round ~states:s ~outputs:o =
-    states.(round) <- s;
-    outputs.(round) <- o;
+    states.(round) <- Array.copy s;
+    outputs.(round) <- Array.copy o;
     true
   in
   let faulty, _, _, max_pulls, total_pulls =

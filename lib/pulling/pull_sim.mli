@@ -1,4 +1,10 @@
-(** Simulator for the pulling model, with per-node message accounting. *)
+(** Simulator for the pulling model, with per-node message accounting.
+
+    A run makes one kernel from the spec ({!Pull_spec.t.fresh_kernel})
+    and reuses its target, response, output and state buffers across
+    rounds. The RNG layout is fixed: a master stream seeded by [seed]
+    splits, in order, the initial-state stream, the responder stream
+    and one stream per node. *)
 
 type 's responder = {
   resp_name : string;
@@ -10,7 +16,9 @@ type 's responder = {
     target:int ->
     puller:int ->
     's;
-      (** what faulty node [target] answers to [puller] this round *)
+      (** what faulty node [target] answers to [puller] this round;
+          [states] is a buffer the simulator reuses, so a responder may
+          keep its elements but not the array *)
 }
 
 val truthful_responder : unit -> 's responder

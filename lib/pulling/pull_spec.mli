@@ -11,6 +11,30 @@
     puller; pull {e requests} of faulty nodes cost nothing to honest
     nodes and are ignored by the simulator. *)
 
+type 's kernel = {
+  pulls : self:int -> rng:Stdx.Rng.t -> 's -> int array -> int;
+      (** [pulls ~self ~rng own targets] writes this round's targets,
+          chosen from [own] before any message is received, into
+          [targets.(0 .. p-1)] and returns [p <= pull_budget]; duplicates
+          allowed (sampling with replacement), each occurrence is paid
+          for *)
+  transition :
+    self:int ->
+    rng:Stdx.Rng.t ->
+    own:'s ->
+    targets:int array ->
+    responses:'s array ->
+    's;
+      (** [responses.(i)] is the state answering [targets.(i)], for the
+          [p] targets of this round's [pulls] call (same order,
+          duplicates included) *)
+}
+(** One round of the algorithm at one node. A kernel may own mutable
+    scratch, so it must be confined to one simulation run (see
+    {!t.fresh_kernel}). The caller owns [targets] and [responses] (both
+    of length at least [pull_budget]) and may overwrite them after
+    [transition] returns. *)
+
 type 's t = {
   name : string;
   n : int;
@@ -21,14 +45,10 @@ type 's t = {
   equal_state : 's -> 's -> bool;
   pp_state : Format.formatter -> 's -> unit;
   random_state : Stdx.Rng.t -> 's;
-  pulls : self:int -> rng:Stdx.Rng.t -> 's -> int array;
-      (** targets to pull this round, chosen from own state before any
-          message is received; duplicates allowed (sampling with
-          replacement), each occurrence is paid for *)
-  transition :
-    self:int -> rng:Stdx.Rng.t -> own:'s -> responses:(int * 's) array -> 's;
-      (** [responses.(i)] is [(target, state)] answering [pulls] target [i]
-          (same order, duplicates included) *)
+  pull_budget : int;  (** worst-case pulls of a non-faulty node per round *)
+  fresh_kernel : unit -> 's kernel;
+      (** a fresh kernel with private scratch; called once per run so
+          concurrent runs over a shared spec never race *)
   output : self:int -> 's -> int;
 }
 

@@ -19,66 +19,216 @@ type 's t = {
 
 type king_mode = Predicted | All_kings
 
-(* Sampled phase-king instruction step (Section 5.3, "Randomised Phase
-   King"): the N-F quorum becomes a 2/3 fraction of the M samples, the
-   F+1 bar becomes a 1/3 fraction (Lemma 8). *)
-let step_sampled ~cap ~m ~index ~(self : Counting.Phase_king.reg) ~sampled_a ~king_a =
-  let clamp = function
-    | Some x when x >= 0 && x < cap -> Some x
-    | Some _ | None -> None
+(* Boyer-Moore majority with verification over a.(0 .. len-1), the
+   semantics of Algo.Vote.majority_int ~default:0 without its closures. *)
+let majority (a : int array) len =
+  let candidate = ref 0 and score = ref 0 in
+  for i = 0 to len - 1 do
+    let x = a.(i) in
+    if !score = 0 then begin
+      candidate := x;
+      score := 1
+    end
+    else if x = !candidate then incr score
+    else decr score
+  done;
+  let cnt = ref 0 in
+  for i = 0 to len - 1 do
+    if a.(i) = !candidate then incr cnt
+  done;
+  if !cnt * 2 > len then !candidate else 0
+
+(* The per-run kernel. Pull targets are laid out as
+
+     [ n-1 block peers | M samples of block 0 | ... | M of block k-1
+     | M network-wide samples | kings ]
+
+   where the king part is all F+2 potential kings (All_kings) or the
+   predicted king, present iff the predicted instruction is a king round
+   (Predicted). All scratch is created here, once per run, so the spec
+   itself stays immutable and shareable across domains. *)
+let fresh_kernel ~king_mode ~fixed_links ~(inner : 's Algo.Spec.t)
+    (ic : 's Algo.Spec.codec) (p : Counting.Boost.params) ~samples () :
+    's state Pull_spec.kernel =
+  let k = p.Counting.Boost.k
+  and m = p.Counting.Boost.m
+  and n_inner = p.Counting.Boost.n_inner
+  and big_n = p.Counting.Boost.big_n
+  and tau = p.Counting.Boost.tau
+  and cap = p.Counting.Boost.big_c in
+  let peer_count = n_inner - 1 in
+  let pk_base = peer_count + (k * samples) in
+  let full_pulls = pk_base + samples + 1 in
+  let slot_of = Array.init big_n (fun u -> u mod n_inner) in
+  let peers =
+    Array.init (big_n * peer_count) (fun i ->
+        let self = i / peer_count and j = i mod peer_count in
+        let slot = slot_of.(self) in
+        self - slot + (if j < slot then j else j + 1))
   in
-  let sampled_a = List.map clamp sampled_a in
-  let king_a = clamp king_a in
-  let count v = List.length (List.filter (fun x -> x = v) sampled_a) in
-  let two_thirds z = 3 * z >= 2 * m in
-  let one_third z = 3 * z > m in
+  (* Counter views (Section 3.2). Block l's view of an inner counter
+     value is Counter_view.of_value at level l, whose modulus
+     tau (2m)^(l+1) divides [top] = tau (2m)^k; reducing the value once
+     mod [top] therefore serves every level, and the (r, b) pair of each
+     level is tabulated over [0, top) unless that would be large. *)
+  let top = p.Counting.Boost.required_inner_c in
+  let pow_level = Array.init k (fun l -> Stdx.Imath.pow (2 * m) l) in
+  let view_tabs = (k + 1) * top <= 1 lsl 20 in
+  let r_tab = Array.init (if view_tabs then top else 0) (fun v -> v mod tau) in
+  let b_tab =
+    Array.init (if view_tabs then k * top else 0) (fun i ->
+        let l = i / top and v = i mod top in
+        v / tau / pow_level.(l) mod m)
+  in
+  let reduce value =
+    if value >= 0 && value < top then value else Stdx.Imath.imod value top
+  in
+  let view_r v = if view_tabs then r_tab.(v) else v mod tau in
+  let view_b l v =
+    if view_tabs then b_tab.((l * top) + v) else v / tau / pow_level.(l) mod m
+  in
+  (* One inner-kernel instance per block, as in Boost's flat kernel: each
+     instance's cache stays keyed to one block's messages. *)
+  let inner_kernels = Array.init k (fun _ -> ic.Algo.Spec.fresh_kernel ()) in
+  let inner_msgs = Array.make n_inner 0 in
+  let ballots = Array.make samples 0 in
+  let block_votes = Array.make k 0 in
+  (* Phase-king sample counts: [hist.(x)] counts samples holding
+     [Some x], [hist.(cap)] those holding None or an out-of-range value;
+     [bins] remembers which bins to clear after the step. *)
+  let hist = Array.make (cap + 1) 0 in
+  let bins = Array.make samples 0 in
+  let bin_of = function Some x when x >= 0 && x < cap -> x | Some _ | None -> cap in
+  let two_thirds z = 3 * z >= 2 * samples in
   let increment = Counting.Phase_king.increment ~cap in
-  match index mod 3 with
-  | 0 ->
-    let a =
-      if two_thirds (count self.Counting.Phase_king.a) then self.Counting.Phase_king.a else None
+  let sample_value targets (responses : 's state array) i =
+    let u = targets.(i) in
+    reduce (inner.Algo.Spec.output ~self:slot_of.(u) responses.(i).inner)
+  in
+  let pulls ~self ~rng (own : 's state) targets =
+    Array.blit peers (self * peer_count) targets 0 peer_count;
+    match king_mode with
+    | All_kings ->
+      let links = fixed_links.(self) in
+      Array.blit links 0 targets peer_count (Array.length links);
+      peer_count + Array.length links
+    | Predicted ->
+      let pos = ref peer_count in
+      for block = 0 to k - 1 do
+        for _ = 1 to samples do
+          targets.(!pos) <- (block * n_inner) + Stdx.Rng.int rng n_inner;
+          incr pos
+        done
+      done;
+      for _ = 1 to samples do
+        targets.(!pos) <- Stdx.Rng.int rng big_n;
+        incr pos
+      done;
+      let predicted = (own.prev_r + 1) mod tau in
+      if predicted mod 3 = 2 then begin
+        targets.(!pos) <- predicted / 3;
+        full_pulls
+      end
+      else full_pulls - 1
+  in
+  let transition ~self ~rng ~(own : 's state) ~targets
+      ~(responses : 's state array) =
+    (* Block peers come first; rebuild the block's message vector in code
+       space and step this block's inner kernel. *)
+    let slot = slot_of.(self) in
+    for i = 0 to peer_count - 1 do
+      inner_msgs.(slot_of.(targets.(i))) <-
+        ic.Algo.Spec.encode_state responses.(i).inner
+    done;
+    inner_msgs.(slot) <- ic.Algo.Spec.encode_state own.inner;
+    let inner' =
+      ic.Algo.Spec.decode_state
+        ((inner_kernels.(self / n_inner)).Algo.Spec.step ~self:slot ~rng
+           inner_msgs)
     in
-    { Counting.Phase_king.a = increment a; d = self.Counting.Phase_king.d }
-  | 1 ->
-    let d = two_thirds (count self.Counting.Phase_king.a) in
-    let rec find j =
-      if j >= cap then None
-      else if one_third (count (Some j)) then Some j
-      else find (j + 1)
+    (* Leader vote from the per-block samples, then R from the leader
+       block's samples. *)
+    for block = 0 to k - 1 do
+      let base = peer_count + (block * samples) in
+      for s = 0 to samples - 1 do
+        ballots.(s) <- view_b block (sample_value targets responses (base + s))
+      done;
+      block_votes.(block) <- majority ballots samples
+    done;
+    let leader = majority block_votes k in
+    let base = peer_count + (leader * samples) in
+    for s = 0 to samples - 1 do
+      ballots.(s) <- view_r (sample_value targets responses (base + s))
+    done;
+    let r_value = majority ballots samples in
+    (* Sampled phase-king instruction I_R (Section 5.3, "Randomised Phase
+       King"): the N-F quorum becomes a 2/3 fraction of the M network-wide
+       samples, the F+1 bar a 1/3 fraction (Lemma 8). *)
+    let instr = r_value mod 3 in
+    for s = 0 to samples - 1 do
+      let b = bin_of responses.(pk_base + s).a in
+      bins.(s) <- b;
+      hist.(b) <- hist.(b) + 1
+    done;
+    let own_count =
+      match own.a with
+      | None -> hist.(cap)
+      | Some x -> if x >= 0 && x < cap then hist.(x) else 0
     in
-    { Counting.Phase_king.a = increment (find 0); d }
-  | _ ->
-    let a =
-      if self.Counting.Phase_king.a = None || not self.Counting.Phase_king.d then
-        let imposed = match king_a with None -> cap | Some x -> min cap x in
-        Some ((imposed + 1) mod cap)
-      else increment self.Counting.Phase_king.a
-    in
-    { Counting.Phase_king.a; d = true }
+    (* I_{3l+1}'s smallest value held by more than a third of the
+       samples: any such value is one of the sampled bins. *)
+    let min_third = ref cap in
+    if instr = 1 then
+      for s = 0 to samples - 1 do
+        let b = bins.(s) in
+        if b < !min_third && 3 * hist.(b) > samples then min_third := b
+      done;
+    for s = 0 to samples - 1 do
+      hist.(bins.(s)) <- 0
+    done;
+    match instr with
+    | 0 ->
+      let a = if two_thirds own_count then own.a else None in
+      { inner = inner'; a = increment a; d = own.d; prev_r = r_value }
+    | 1 ->
+      let a = if !min_third = cap then None else Some !min_third in
+      { inner = inner'; a = increment a; d = two_thirds own_count;
+        prev_r = r_value }
+    | _ ->
+      let a =
+        if own.a = None || not own.d then begin
+          let king =
+            match king_mode with
+            | All_kings -> pk_base + samples + (r_value / 3)
+            | Predicted ->
+              if (own.prev_r + 1) mod tau = r_value then pk_base + samples
+              else -1
+          in
+          let imposed = if king < 0 then cap else bin_of responses.(king).a in
+          Some ((imposed + 1) mod cap)
+        end
+        else increment own.a
+      in
+      { inner = inner'; a; d = true; prev_r = r_value }
+  in
+  { Pull_spec.pulls; transition }
 
 let construct_gen ~king_mode ~links_seed ~(inner : 's Algo.Spec.t) ~k ~big_f
     ~big_c ~samples =
   if samples < 1 then invalid_arg "Sampled.construct: samples < 1";
+  let ic =
+    match inner.Algo.Spec.codec with
+    | Some ic -> ic
+    | None -> invalid_arg "Sampled.construct: inner spec has no codec"
+  in
   let p =
     Counting.Boost.plan_exn ~k ~big_f ~big_c ~n_inner:inner.Algo.Spec.n
       ~f_inner:inner.Algo.Spec.f ~inner_c:inner.Algo.Spec.c
-  in
-  let view_params =
-    Array.init k (fun level ->
-        Counting.Counter_view.make_params ~tau:p.Counting.Boost.tau
-          ~m:p.Counting.Boost.m ~level ())
   in
   let n_inner = p.Counting.Boost.n_inner in
   let big_n = p.Counting.Boost.big_n in
   let tau = p.Counting.Boost.tau in
   let kings = big_f + 2 in
-  let block_peers self =
-    let block = self / n_inner in
-    Array.of_list
-      (List.filter
-         (fun u -> u <> self)
-         (List.init n_inner (fun j -> (block * n_inner) + j)))
-  in
   (* Fixed links for the oblivious variant: one draw per node, reused
      every round (Corollary 5). *)
   let fixed_links =
@@ -98,99 +248,19 @@ let construct_gen ~king_mode ~links_seed ~(inner : 's Algo.Spec.t) ~k ~big_f
           Array.concat
             [ block_samples; pk_samples; Array.init kings (fun l -> l) ])
   in
-  let pulls ~self ~rng (own : 's state) =
-    let peers = block_peers self in
-    match king_mode with
-    | All_kings -> Array.append peers fixed_links.(self)
-    | Predicted ->
-      let block_samples =
-        Array.init (k * samples) (fun idx ->
-            let block = idx / samples in
-            (block * n_inner) + Stdx.Rng.int rng n_inner)
-      in
-      let pk_samples =
-        Array.init samples (fun _ -> Stdx.Rng.int rng big_n)
-      in
-      let predicted = (own.prev_r + 1) mod tau in
-      let king =
-        if predicted mod 3 = 2 then [| predicted / 3 |] else [||]
-      in
-      Array.concat [ peers; block_samples; pk_samples; king ]
-  in
-  let transition ~self ~rng ~(own : 's state) ~responses =
-    let peer_count = n_inner - 1 in
-    let slot = self mod n_inner in
-    (* Block peers come first; rebuild the block's message vector. *)
-    let block_messages = Array.make n_inner own.inner in
-    for i = 0 to peer_count - 1 do
-      let target, (st : 's state) = responses.(i) in
-      block_messages.(target mod n_inner) <- st.inner
-    done;
-    block_messages.(slot) <- own.inner;
-    let inner' = inner.Algo.Spec.transition ~self:slot ~rng block_messages in
-    (* Leader vote from the per-block samples. *)
-    let sample_view idx =
-      let target, (st : 's state) = responses.(peer_count + idx) in
-      let block = target / n_inner in
-      let value = inner.Algo.Spec.output ~self:(target mod n_inner) st.inner in
-      (block, Counting.Counter_view.of_value view_params.(block) value)
-    in
-    let block_votes =
-      Array.init k (fun block ->
-          let ballots =
-            Array.init samples (fun s ->
-                let _, view = sample_view ((block * samples) + s) in
-                view.Counting.Counter_view.b)
-          in
-          Algo.Vote.majority_int ~default:0 ballots)
-    in
-    let leader = Algo.Vote.majority_int ~default:0 block_votes in
-    let r_ballots =
-      Array.init samples (fun s ->
-          let _, view = sample_view ((leader * samples) + s) in
-          view.Counting.Counter_view.r)
-    in
-    let r_value = Algo.Vote.majority_int ~default:0 r_ballots in
-    (* Phase-king step on the network-wide samples. *)
-    let pk_base = peer_count + (k * samples) in
-    let sampled_a =
-      List.init samples (fun s ->
-          let _, (st : 's state) = responses.(pk_base + s) in
-          st.a)
-    in
-    let king_a =
-      match king_mode with
-      | All_kings ->
-        let ell = Counting.Phase_king.king_of_index r_value in
-        let _, (st : 's state) = responses.(pk_base + samples + ell) in
-        st.a
-      | Predicted ->
-        let predicted = (own.prev_r + 1) mod tau in
-        if predicted = r_value && predicted mod 3 = 2 then begin
-          let _, (st : 's state) = responses.(pk_base + samples) in
-          st.a
-        end
-        else None
-    in
-    let reg =
-      step_sampled ~cap:big_c ~m:samples ~index:r_value
-        ~self:{ Counting.Phase_king.a = own.a; d = own.d }
-        ~sampled_a ~king_a
-    in
-    { inner = inner'; a = reg.Counting.Phase_king.a; d = reg.Counting.Phase_king.d; prev_r = r_value }
-  in
   let pulls_per_round =
     (n_inner - 1) + ((k + 1) * samples)
     + (match king_mode with Predicted -> 1 | All_kings -> kings)
   in
   let random_state rng =
+    (* Draw order pinned by let-bindings: a-register, round counter,
+       d-flag, inner state (the order record fields were once evaluated
+       in, right to left). *)
     let raw = Stdx.Rng.int rng (big_c + 1) in
-    {
-      inner = inner.Algo.Spec.random_state rng;
-      a = (if raw = big_c then None else Some raw);
-      d = Stdx.Rng.bool rng;
-      prev_r = Stdx.Rng.int rng tau;
-    }
+    let prev_r = Stdx.Rng.int rng tau in
+    let d = Stdx.Rng.bool rng in
+    let inner_state = inner.Algo.Spec.random_state rng in
+    { inner = inner_state; a = (if raw = big_c then None else Some raw); d; prev_r }
   in
   let pp_state ppf (s : 's state) =
     let pp_a ppf = function
@@ -227,8 +297,8 @@ let construct_gen ~king_mode ~links_seed ~(inner : 's Algo.Spec.t) ~k ~big_f
         equal_state;
         pp_state;
         random_state;
-        pulls;
-        transition;
+        pull_budget = pulls_per_round;
+        fresh_kernel = fresh_kernel ~king_mode ~fixed_links ~inner ic p ~samples;
         output =
           (fun ~self:_ (s : 's state) ->
             match s.a with Some x -> x mod big_c | None -> 0);

@@ -30,7 +30,13 @@
     set cannot adapt to [R]). Against an adversary that picks the faulty
     set independently of those coins this is Corollary 5's pseudo-random
     counter: with high probability over the link seed the execution
-    stabilises, and from then on behaves fully deterministically. *)
+    stabilises, and from then on behaves fully deterministically.
+
+    {b Execution.} The spec's per-run kernel ({!Pull_spec.t.fresh_kernel})
+    steps each block's inner counter through one instance of the inner
+    codec's flat kernel, reads counter views from tables built per run,
+    and counts the phase-king samples in an integer histogram. Nothing
+    mutable lives in the spec, so one spec can serve concurrent runs. *)
 
 type 's state = {
   inner : 's;
@@ -54,8 +60,9 @@ type 's t = {
 val construct :
   inner:'s Algo.Spec.t -> k:int -> big_f:int -> big_c:int -> samples:int ->
   's t
-(** Adaptive sampling (fresh coins every round). Raises on invalid
-    Theorem 1 parameters or [samples < 1]. *)
+(** Adaptive sampling (fresh coins every round). Raises
+    [Invalid_argument] on invalid Theorem 1 parameters, [samples < 1], or
+    an [inner] spec without a codec. *)
 
 val construct_oblivious :
   inner:'s Algo.Spec.t ->

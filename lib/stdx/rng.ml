@@ -1,38 +1,62 @@
-type t = { mutable s : int64 }
+(* The SplitMix64 state lives unboxed in an 8-byte buffer: reading and
+   writing it with [get/set_int64_ne] and inlining [mix] lets the native
+   compiler keep every intermediate in registers, so a draw allocates
+   nothing (a [mutable s : int64] field would box on every store). *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { s = mix (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let copy t = { s = t.s }
+let create seed = of_state (mix (Int64.of_int seed))
 
-let next_int64 t =
-  t.s <- Int64.add t.s golden_gamma;
-  mix t.s
+let copy = Bytes.copy
 
-let split t = { s = next_int64 t }
+let[@inline] next_int64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix s
+
+let split t = of_state (next_int64 t)
 
 let bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 34)
+
+(* Top 61 bits of the next output: a non-negative native int. *)
+let[@inline] draw61 t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 3)
+
+let range = 1 lsl 61
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   if bound = 1 then 0
   else begin
     (* Rejection sampling over 61 bits (OCaml native ints are 63-bit, so
-       1 lsl 61 is still a positive int) to avoid modulo bias. *)
-    let range = 1 lsl 61 in
+       1 lsl 61 is still a positive int) to avoid modulo bias: a draw [r]
+       is accepted iff [r < threshold = range - (range mod bound)]. Since
+       [range mod bound < bound], every [r < range - bound] is accepted
+       without computing the threshold, and a power-of-two bound divides
+       [range], so it accepts every draw and [r mod bound] is a mask.
+       Both shortcuts return exactly what the plain loop would. *)
     if bound > range then invalid_arg "Rng.int: bound too large";
-    let threshold = range - (range mod bound) in
-    let rec loop () =
-      let r = Int64.to_int (Int64.shift_right_logical (next_int64 t) 3) in
-      if r < threshold then r mod bound else loop ()
-    in
-    loop ()
+    if bound land (bound - 1) = 0 then draw61 t land (bound - 1)
+    else begin
+      let r = ref (draw61 t) in
+      if !r >= range - bound then begin
+        let threshold = range - (range mod bound) in
+        while !r >= threshold do
+          r := draw61 t
+        done
+      end;
+      !r mod bound
+    end
   end
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L

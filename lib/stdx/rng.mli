@@ -3,7 +3,10 @@
     The implementation is SplitMix64 (Steele, Lea, Flood 2014). All
     randomness in the repository — arbitrary initial states, Byzantine
     message fabrication, sampling in the pulling model — flows through
-    this module so that every experiment is reproducible from a seed. *)
+    this module so that every experiment is reproducible from a seed.
+
+    The generator state is an unboxed 64-bit word, so {!int}, {!bits},
+    {!bool} and {!float} allocate nothing per draw. *)
 
 type t
 (** Mutable generator state. *)
@@ -27,8 +30,11 @@ val bits : t -> int
 (** 30 uniformly random non-negative bits, as in [Random.bits]. *)
 
 val int : t -> int -> int
-(** [int t bound] is uniform in [\[0, bound)]. Raises [Invalid_argument]
-    if [bound <= 0]. *)
+(** [int t bound] is uniform in [\[0, bound)], by rejection sampling
+    over the top 61 bits of {!next_int64}: a draw [r] is accepted iff
+    [r < 2^61 - (2^61 mod bound)], and yields [r mod bound]. [bound = 1]
+    consumes no draw. Raises [Invalid_argument] if [bound <= 0] or
+    [bound > 2^61]. *)
 
 val bool : t -> bool
 (** Fair coin. *)

@@ -20,14 +20,27 @@ let pull_leader ~n ~c : int Pulling.Pull_spec.t =
       equal_state = Int.equal;
       pp_state = Format.pp_print_int;
       random_state = (fun rng -> Stdx.Rng.int rng c);
-      pulls = (fun ~self:_ ~rng:_ _ -> [| 0 |]);
-      transition =
-        (fun ~self:_ ~rng:_ ~own:_ ~responses ->
-          match responses with
-          | [| (_, v) |] -> (v + 1) mod c
-          | _ -> invalid_arg "unexpected response shape");
+      pull_budget = 1;
+      fresh_kernel =
+        (fun () ->
+          {
+            Pulling.Pull_spec.pulls =
+              (fun ~self:_ ~rng:_ _ targets ->
+                targets.(0) <- 0;
+                1);
+            transition =
+              (fun ~self:_ ~rng:_ ~own:_ ~targets:_ ~responses ->
+                (responses.(0) + 1) mod c);
+          });
       output = (fun ~self:_ s -> s);
     }
+
+(* One round's pull targets of [self], through a fresh kernel. *)
+let targets_of (spec : 's Pulling.Pull_spec.t) ~self ~rng state =
+  let kernel = spec.Pulling.Pull_spec.fresh_kernel () in
+  let buf = Array.make spec.Pulling.Pull_spec.pull_budget 0 in
+  let p = kernel.Pulling.Pull_spec.pulls ~self ~rng state buf in
+  Array.sub buf 0 p
 
 let inner41 =
   (* A(4,1) counting mod 960, the Figure 2 base block; built with a
@@ -177,18 +190,31 @@ let test_sampled_pull_bound_holds () =
     <= s.Pulling.Sampled.params.Pulling.Sampled.pulls_per_round)
 
 let test_sampled_pull_targets_valid () =
-  let s = sampled ~samples:6 in
+  (* Layout: 3 block peers, then M samples from each of the k = 3
+     blocks, then M network-wide samples, then the predicted king. *)
+  let samples = 6 in
+  let s = sampled ~samples in
   let spec = s.Pulling.Sampled.spec in
   let rng = Stdx.Rng.create 3 in
   for self = 0 to 11 do
     let state = spec.Pulling.Pull_spec.random_state rng in
-    let targets = spec.Pulling.Pull_spec.pulls ~self ~rng state in
+    let targets = targets_of spec ~self ~rng state in
+    let block = self / 4 in
+    check (Alcotest.list Alcotest.int)
+      (Printf.sprintf "node %d: peers are its block minus itself" self)
+      (List.filter (fun u -> u <> self) (List.init 4 (fun j -> (4 * block) + j)))
+      (Array.to_list (Array.sub targets 0 3));
+    for b = 0 to 2 do
+      for i = 0 to samples - 1 do
+        let u = targets.(3 + (b * samples) + i) in
+        if u / 4 <> b then
+          Alcotest.failf "node %d: sample %d of block %d is node %d" self i b u
+      done
+    done;
     Array.iter
       (fun u ->
-        if u < 0 || u >= 12 then Alcotest.failf "target %d out of range" u;
-        if u = self && u mod 4 = self mod 4 && u / 4 = self / 4 then
-          Alcotest.fail "node pulls itself as a peer")
-      (Array.sub targets 0 3)
+        if u < 0 || u >= 12 then Alcotest.failf "target %d out of range" u)
+      targets
   done
 
 let test_sampled_converges_fault_free () =
@@ -247,8 +273,8 @@ let test_oblivious_pulls_static () =
   let spec = s.Pulling.Sampled.spec in
   let rng = Stdx.Rng.create 1 in
   let st = spec.Pulling.Pull_spec.random_state rng in
-  let t1 = spec.Pulling.Pull_spec.pulls ~self:3 ~rng st in
-  let t2 = spec.Pulling.Pull_spec.pulls ~self:3 ~rng st in
+  let t1 = targets_of spec ~self:3 ~rng st in
+  let t2 = targets_of spec ~self:3 ~rng st in
   check (Alcotest.array Alcotest.int) "same links every round" t1 t2
 
 let test_oblivious_includes_all_kings () =
@@ -259,7 +285,7 @@ let test_oblivious_includes_all_kings () =
   let spec = s.Pulling.Sampled.spec in
   let rng = Stdx.Rng.create 1 in
   let st = spec.Pulling.Pull_spec.random_state rng in
-  let targets = Array.to_list (spec.Pulling.Pull_spec.pulls ~self:8 ~rng st) in
+  let targets = Array.to_list (targets_of spec ~self:8 ~rng st) in
   List.iter
     (fun king ->
       check Alcotest.bool (Printf.sprintf "king %d pulled" king) true
@@ -288,6 +314,158 @@ let test_oblivious_stabilises_with_gentle_faults () =
   done;
   check Alcotest.bool (Printf.sprintf "stabilised %d/6 seeds" !ok) true (!ok >= 5)
 
+(* ------------------------------------------------------------------ *)
+(* Differential oracle: production kernel vs the boxed reference        *)
+(* ------------------------------------------------------------------ *)
+
+(* Runs the production simulator and the reference (Pull_ref) on the
+   same inputs, each with its own fresh responder, and demands identical
+   per-round state traces and pull counters. *)
+let assert_matches_reference ~ctx ?init ~(s : 's Pulling.Sampled.t) ~ops
+    ~responder_index ~faulty ~rounds ~seed () =
+  let spec = s.Pulling.Sampled.spec in
+  let responder () =
+    List.nth (Pulling.Pull_sim.standard_responders ()) responder_index
+  in
+  let run =
+    Pulling.Pull_sim.run ?init ~spec ~responder:(responder ()) ~faulty ~rounds
+      ~seed ()
+  in
+  let states, max_pulls, total_pulls =
+    Pull_ref.trace ?init ~spec ~ops ~responder:(responder ()) ~faulty ~rounds
+      ~seed ()
+  in
+  Array.iteri
+    (fun t row ->
+      Array.iteri
+        (fun v expected ->
+          let got = run.Pulling.Pull_sim.states.(t).(v) in
+          if not (spec.Pulling.Pull_spec.equal_state expected got) then
+            Alcotest.failf "%s: round %d node %d: reference %a, kernel %a" ctx
+              t v spec.Pulling.Pull_spec.pp_state expected
+              spec.Pulling.Pull_spec.pp_state got)
+        row)
+    states;
+  check Alcotest.int (ctx ^ ": max_pulls") max_pulls run.Pulling.Pull_sim.max_pulls;
+  check Alcotest.int (ctx ^ ": total_pulls") total_pulls
+    run.Pulling.Pull_sim.total_pulls
+
+let oracle_variants =
+  [
+    ( "sampled",
+      (fun samples -> sampled ~samples),
+      fun samples ->
+        Pull_ref.sampled_ops ~king_mode:Pull_ref.Predicted ~links_seed:0
+          ~inner:inner41 ~k:3 ~big_f:3 ~big_c:8 ~samples );
+    ( "oblivious",
+      (fun samples ->
+        Pulling.Sampled.construct_oblivious ~inner:inner41 ~k:3 ~big_f:3
+          ~big_c:8 ~samples ~links_seed:42),
+      fun samples ->
+        Pull_ref.sampled_ops ~king_mode:Pull_ref.All_kings ~links_seed:42
+          ~inner:inner41 ~k:3 ~big_f:3 ~big_c:8 ~samples );
+  ]
+
+let test_oracle_grid () =
+  List.iter
+    (fun (label, build, ops_of) ->
+      List.iter
+        (fun samples ->
+          let s = build samples and ops = ops_of samples in
+          List.iteri
+            (fun responder_index responder ->
+              List.iter
+                (fun faulty ->
+                  for seed = 1 to 5 do
+                    let ctx =
+                      Printf.sprintf "%s M=%d %s faulty=[%s] seed=%d" label
+                        samples responder.Pulling.Pull_sim.resp_name
+                        (String.concat ";" (List.map string_of_int faulty))
+                        seed
+                    in
+                    assert_matches_reference ~ctx ~s ~ops ~responder_index
+                      ~faulty ~rounds:40 ~seed ()
+                  done)
+                [ []; [ 11 ]; [ 0; 5; 9 ] ])
+            (Pulling.Pull_sim.standard_responders ()))
+        [ 4; 16 ])
+    oracle_variants
+
+(* From a stabilised configuration the king predictions come true, so
+   this run exercises the predicted-king pull and its response. *)
+let test_oracle_init () =
+  let s = sampled ~samples:16 in
+  let settled =
+    Pulling.Pull_sim.run_stream ~early_exit:false ~min_suffix:64
+      ~spec:s.Pulling.Sampled.spec
+      ~responder:(Pulling.Pull_sim.truthful_responder ()) ~faulty:[]
+      ~rounds:3000 ~seed:4 ()
+  in
+  check Alcotest.bool "the warm-up run stabilised" true
+    (settled.Pulling.Pull_sim.verdict <> Sim.Online.Not_stabilized);
+  let ops =
+    Pull_ref.sampled_ops ~king_mode:Pull_ref.Predicted ~links_seed:0
+      ~inner:inner41 ~k:3 ~big_f:3 ~big_c:8 ~samples:16
+  in
+  assert_matches_reference ~ctx:"init" ~init:settled.Pulling.Pull_sim.final_states
+    ~s ~ops ~responder_index:1 ~faulty:[ 0; 5; 9 ] ~rounds:150 ~seed:7 ()
+
+(* k = 7 over a single-node counter: the view modulus tau (2m)^k is
+   about 2.5e7, too large to tabulate, so views are computed directly. *)
+let test_oracle_untabulated_views () =
+  let big_c = 4 in
+  let inner = Counting.Trivial.single ~c:(12 * Stdx.Imath.pow 8 7) in
+  let s =
+    Pulling.Sampled.construct ~inner ~k:7 ~big_f:2 ~big_c ~samples:4
+  in
+  let ops =
+    Pull_ref.sampled_ops ~king_mode:Pull_ref.Predicted ~links_seed:0 ~inner
+      ~k:7 ~big_f:2 ~big_c ~samples:4
+  in
+  List.iter
+    (fun faulty ->
+      for seed = 1 to 2 do
+        assert_matches_reference
+          ~ctx:(Printf.sprintf "k=7 faulty=%d seed=%d" (List.length faulty) seed)
+          ~s ~ops ~responder_index:1 ~faulty ~rounds:60 ~seed ()
+      done)
+    [ []; [ 3 ] ]
+
+let parallel_jobs =
+  match Sys.getenv_opt "REPRO_JOBS" with
+  | Some s -> (
+    match int_of_string_opt (String.trim s) with
+    | Some j when j >= 1 -> j
+    | _ -> 4)
+  | None -> 4
+
+(* Kernel scratch is per run, so runs over one shared spec on several
+   domains must reproduce the sequential runs exactly. *)
+let test_jobs_determinism_shared_spec () =
+  let s = sampled ~samples:16 in
+  let spec = s.Pulling.Sampled.spec in
+  let go seed =
+    Pulling.Pull_sim.run_stream ~early_exit:false ~min_suffix:64 ~spec
+      ~responder:(Pulling.Pull_sim.random_responder ()) ~faulty:[ 0; 5; 9 ]
+      ~rounds:300 ~seed ()
+  in
+  let seeds = List.init 8 (fun i -> i + 1) in
+  let sequential = List.map go seeds in
+  let parallel = Stdx.Pool.map ~jobs:parallel_jobs go seeds in
+  List.iter2
+    (fun (a : _ Pulling.Pull_sim.stream) (b : _ Pulling.Pull_sim.stream) ->
+      check Alcotest.bool "same verdict" true
+        (Sim.Online.equal_verdict a.Pulling.Pull_sim.verdict
+           b.Pulling.Pull_sim.verdict);
+      check Alcotest.int "same total pulls" a.Pulling.Pull_sim.stream_total_pulls
+        b.Pulling.Pull_sim.stream_total_pulls;
+      check Alcotest.int "same max pulls" a.Pulling.Pull_sim.stream_max_pulls
+        b.Pulling.Pull_sim.stream_max_pulls;
+      check Alcotest.bool "same final states" true
+        (Array.for_all2 spec.Pulling.Pull_spec.equal_state
+           a.Pulling.Pull_sim.final_states b.Pulling.Pull_sim.final_states))
+    sequential parallel
+
 let suite =
   [
     ( "pulling.sim",
@@ -305,6 +483,8 @@ let suite =
         case "shape and pull budget" test_sampled_shape;
         case "pull bound holds" test_sampled_pull_bound_holds;
         case "pull targets valid" test_sampled_pull_targets_valid;
+        case "jobs-determinism on a shared spec"
+          test_jobs_determinism_shared_spec;
         slow_case "converges when fault-free" test_sampled_converges_fault_free;
         slow_case "clean fraction grows with M" test_sampled_clean_fraction_grows;
       ] );
@@ -313,5 +493,12 @@ let suite =
         case "links are static" test_oblivious_pulls_static;
         case "all kings pulled" test_oblivious_includes_all_kings;
         slow_case "Corollary 5 stabilisation" test_oblivious_stabilises_with_gentle_faults;
+      ] );
+    ( "pulling.oracle",
+      [
+        case "kernel == reference over the grid" test_oracle_grid;
+        case "kernel == reference from a stabilised init" test_oracle_init;
+        case "kernel == reference with untabulated views"
+          test_oracle_untabulated_views;
       ] );
   ]

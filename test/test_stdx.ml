@@ -103,6 +103,117 @@ let test_sample_with_replacement =
       let s = Stdx.Rng.sample_with_replacement rng k n in
       List.length s = k && List.for_all (fun v -> v >= 0 && v < n) s)
 
+(* Rng.int as it was first written: a plain rejection loop that divides
+   twice per draw. The production version takes shortcuts (no threshold
+   division below [2^61 - bound], a mask for powers of two) that must
+   return the same values and consume the same draws. *)
+let reference_int t bound =
+  if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
+  if bound = 1 then 0
+  else begin
+    let range = 1 lsl 61 in
+    if bound > range then invalid_arg "Rng.int: bound too large";
+    let threshold = range - (range mod bound) in
+    let rec loop () =
+      let r = Int64.to_int (Int64.shift_right_logical (Stdx.Rng.next_int64 t) 3) in
+      if r < threshold then r mod bound else loop ()
+    in
+    loop ()
+  end
+
+(* Small bounds, powers of two, and large bounds where rejection is
+   frequent: 2^60 + 1 rejects almost half the draws, 3 * 2^59 a quarter. *)
+let stream_bounds =
+  [ 2; 3; 4; 12; 1 lsl 20; (1 lsl 60) + 1; 3 * (1 lsl 59); (1 lsl 61) - 1;
+    1 lsl 61 ]
+
+let test_rng_int_matches_reference =
+  qcheck ~count:300 "Rng.int draw-for-draw equals the rejection loop"
+    QCheck.(pair int (make Gen.(oneofl stream_bounds)))
+    (fun (seed, bound) ->
+      let a = Stdx.Rng.create seed and b = Stdx.Rng.create seed in
+      List.for_all
+        (fun _ -> Stdx.Rng.int a bound = reference_int b bound)
+        (List.init 64 Fun.id)
+      && Stdx.Rng.next_int64 a = Stdx.Rng.next_int64 b)
+
+(* First 16 draws of each primitive from [create 1], recorded from the
+   original boxed-int64 implementation. *)
+let golden_next_int64 =
+  [ -4616330145664149646L; 6869446166584666695L; 8084911050856847527L;
+    -846397198931878612L; 3727343498630883515L; -7456765501708208026L;
+    8407459800431601144L; 3430088234347965294L; 5808099861970480573L;
+    -2172474089950573756L; -8945553099086264698L; -8603295654659979639L;
+    -1424582745090185746L; 3723083104817009959L; 2857380782389785691L;
+    -8373586259226197282L ]
+
+let golden_bits =
+  [ 805036044; 399854393; 470603760; 1024475022; 216959946; 639700946;
+    489378569; 199657412; 338075907; 947287188; 553042102; 572964107;
+    990820194; 216711958; 166321451; 586334954 ]
+
+let golden_int12 = [ 2; 4; 0; 1; 7; 0; 3; 9; 7; 4; 0; 9; 9; 0; 11; 7 ]
+
+let golden_int_2p60p1 =
+  [ 858680770823083336; 1010613881357105940; 465917937328860439;
+    1050932475053950143; 428761029293495661; 726012482746310071;
+    465385388102126244; 357172597798723211; 190550036826167426;
+    1096588888509356105; 416252715427092688; 808747790896537555;
+    133562416547197332; 437020312460406259; 214214536184326536;
+    1071357408875328624 ]
+
+let golden_bool =
+  [ false; true; true; false; true; false; false; false; true; false; false;
+    true; false; true; true; false ]
+
+let golden_float =
+  [ 0x1.7fdf0061bb85ap-1; 0x1.7d54b3920bcaap-2; 0x1.c0cd7f0f6bcf6p-2;
+    0x1.e881fc76c58f3p-1; 0x1.9dd1794f3e0b4p-3; 0x1.31087e915296fp-1;
+    0x1.d2b5309350688p-2; 0x1.7cd0f89b24754p-3; 0x1.426a103512fbap-2;
+    0x1.c3b3a4a6a1831p-1; 0x1.07b605b43323p-1; 0x1.1135e85e5ca9p-1;
+    0x1.d875bb150b7f4p-1; 0x1.9d5862dd5f028p-3; 0x1.3d3ba575d2f78p-3;
+    0x1.179617532576p-1 ]
+
+(* [split] then the child's first draw, sixteen times over. *)
+let golden_split =
+  [ 6180444375122719049L; -9080572566289094619L; -6539232838908385000L;
+    1637721677983765154L; -1147685784756221562L; -6662731487246554934L;
+    5310457229632899279L; 3377271897212342752L; 8075154432424573035L;
+    1441966503252459110L; 6324061867860415516L; -2220894878700164257L;
+    1441851846543767462L; -4417659269007310476L; 185089042473860261L;
+    -7250233204132883253L ]
+
+let test_rng_golden () =
+  let first16 f =
+    let t = Stdx.Rng.create 1 in
+    List.init 16 (fun _ -> f t)
+  in
+  let l = Alcotest.list in
+  check (l Alcotest.int64) "next_int64" golden_next_int64
+    (first16 Stdx.Rng.next_int64);
+  check (l Alcotest.int) "bits" golden_bits (first16 Stdx.Rng.bits);
+  check (l Alcotest.int) "int 12" golden_int12
+    (first16 (fun t -> Stdx.Rng.int t 12));
+  check (l Alcotest.int) "int (2^60 + 1)" golden_int_2p60p1
+    (first16 (fun t -> Stdx.Rng.int t ((1 lsl 60) + 1)));
+  check (l Alcotest.bool) "bool" golden_bool (first16 Stdx.Rng.bool);
+  check (l (Alcotest.float 0.0)) "float" golden_float (first16 Stdx.Rng.float);
+  check (l Alcotest.int64) "split" golden_split
+    (first16 (fun t -> Stdx.Rng.next_int64 (Stdx.Rng.split t)))
+
+let test_rng_no_allocation () =
+  let t = Stdx.Rng.create 9 in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    acc := !acc + Stdx.Rng.int t ((i land 15) + 2) + Stdx.Rng.bits t
+  done;
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity !acc);
+  check Alcotest.bool
+    (Printf.sprintf "int/bits allocate nothing (%.0f words)" words)
+    true (words < 100.0)
+
 (* ------------------------------------------------------------------ *)
 (* Imath                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -511,6 +622,9 @@ let suite =
         test_shuffle_permutation;
         test_sample_without_replacement;
         test_sample_with_replacement;
+        test_rng_int_matches_reference;
+        case "golden first draws" test_rng_golden;
+        case "draws do not allocate" test_rng_no_allocation;
       ] );
     ( "stdx.imath",
       [
