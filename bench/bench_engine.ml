@@ -1,15 +1,18 @@
-(* Experiment E1: flat-state engine throughput and allocation profile.
+(* Experiment E1: engine throughput and allocation profile.
 
    Runs the same (spec, adversary, faulty, rounds, seed) execution on
-   three paths — the flat packed-code path (the spec's codec), the flat
-   path with the adversary's flat kernel stripped (the boxed crafting
-   bridge, [Adversary.without_flat]), and the fully boxed per-node path
-   (codec stripped) — verifies all outcomes are identical, and reports
-   node-rounds/sec plus GC words allocated per node-round for each.
+   the engine (packed state codes, flat adversary kernels) and on the
+   naive reference simulator of the test suite (Engine_ref: boxed
+   states, full message matrix), verifies the engine's outcome is the
+   reference's — final states, recent output rows, and the offline
+   verdict on the reference outputs — and reports node-rounds/sec plus
+   GC words allocated per node-round for each.
 
-   Headlines: benign throughput on A(12,3) (the boxed engine made that
-   scale unaffordable), and hostile throughput on A(12,3) under the
-   split-brain equivocator — the flat adversary-kernel hot loop.
+   Headlines: benign throughput on A(12,3), and hostile throughput on
+   A(12,3) under the split-brain equivocator — the flat adversary-kernel
+   hot loop. The greedy-confusion rows show what the bridge costs: that
+   strategy has no flat kernel, so every crafted round decodes the
+   states, crafts boxed messages and re-encodes them.
 
    Results land in BENCH_engine.json. *)
 
@@ -29,11 +32,9 @@ type row = {
   adversary : string;
   faulty : int list;
   rounds : int;
-  identical : bool;  (** flat = bridged = boxed outcomes *)
-  has_flat : bool;  (** the adversary ships a flat kernel *)
+  identical : bool;  (** engine outcome = reference outcome *)
   flat : path;
-  boxed : path;
-  bridge : path option;  (** hostile rows only: forced boxed crafting *)
+  reference : path;
   flat_craft_phases : int;
   bridged_craft_phases : int;
 }
@@ -56,58 +57,63 @@ let timed_gc f =
   let j1 = (Gc.quick_stat ()).Gc.major_words in
   (r, wall, m1 -. m0, j1 -. j0)
 
+let path_of ~node_rounds ~wall ~minor ~major =
+  {
+    wall_s = wall;
+    node_rounds_per_s = node_rounds /. Float.max 1e-9 wall;
+    gc =
+      { minor_w_nr = minor /. node_rounds; major_w_nr = major /. node_rounds };
+  }
+
 let measure (type s) ~label ~(spec : s Algo.Spec.t) ~adversary ~faulty ~rounds
     ~seed () =
-  let boxed_spec = { spec with Algo.Spec.codec = None } in
-  let run ?metrics sp adv () =
-    Sim.Engine.run ?metrics ~mode:Sim.Engine.Full_horizon ~spec:sp
-      ~adversary:adv ~faulty ~rounds ~seed ()
+  let run ?metrics () =
+    Sim.Engine.run ?metrics ~mode:Sim.Engine.Full_horizon ~spec ~adversary
+      ~faulty ~rounds ~seed ()
   in
-  (* Warm-up pass so allocation of the flat buffers and any lazy setup is
-     off the clock for every path. *)
+  (* Warm-up pass so allocation of the engine buffers and any lazy setup
+     is off the clock. *)
   ignore
     (Sim.Engine.run ~mode:Sim.Engine.Full_horizon ~spec ~adversary ~faulty
        ~rounds:(min rounds 50) ~seed ());
-  let node_rounds o =
-    float_of_int (spec.Algo.Spec.n * o.Sim.Engine.rounds_simulated)
-  in
-  (* Wall = best of [reps] passes (first pass also yields outcome + GC),
-     so one slow scheduler hiccup does not pollute the record. *)
-  let profile ?coverage ~reps sp adv =
-    let o, wall0, minor, major = timed_gc (run ?metrics:coverage sp adv) in
-    let wall = ref wall0 in
-    for _ = 2 to reps do
-      let _, w, _, _ = timed_gc (run sp adv) in
-      if w < !wall then wall := w
-    done;
-    Stdx.Metrics.observe ~buckets:Stdx.Metrics.time_buckets metrics
-      "bench.engine_wall_s" !wall;
-    let nr = node_rounds o in
-    ( o,
-      {
-        wall_s = !wall;
-        node_rounds_per_s = nr /. Float.max 1e-9 !wall;
-        gc = { minor_w_nr = minor /. nr; major_w_nr = major /. nr };
-      } )
-  in
+  let node_rounds = float_of_int (spec.Algo.Spec.n * rounds) in
+  (* Wall = best of 3 passes (the first also yields outcome + GC), so one
+     slow scheduler hiccup does not pollute the record. *)
   let coverage = Stdx.Metrics.create () in
-  let flat_o, flat = profile ~coverage ~reps:3 spec adversary in
-  let boxed_o, boxed = profile ~reps:1 boxed_spec adversary in
-  let bridge =
-    (* The bridge only exists where crafting happens: with no faulty
-       nodes the stripped adversary runs the very same execution. *)
-    if faulty = [] then None
-    else
-      Some (profile ~reps:3 spec (Sim.Adversary.without_flat adversary))
+  let o, wall0, minor, major = timed_gc (run ~metrics:coverage) in
+  let wall = ref wall0 in
+  for _ = 2 to 3 do
+    let _, w, _, _ = timed_gc (run ?metrics:None) in
+    if w < !wall then wall := w
+  done;
+  Stdx.Metrics.observe ~buckets:Stdx.Metrics.time_buckets metrics
+    "bench.engine_wall_s" !wall;
+  let flat = path_of ~node_rounds ~wall:!wall ~minor ~major in
+  let r, rwall, rminor, rmajor =
+    timed_gc (Engine_ref.run ~spec ~adversary ~faulty ~rounds ~seed)
   in
-  let same o2 =
-    Sim.Online.equal_verdict flat_o.Sim.Engine.verdict o2.Sim.Engine.verdict
-    && flat_o.Sim.Engine.rounds_simulated = o2.Sim.Engine.rounds_simulated
-    && flat_o.Sim.Engine.early_exit = o2.Sim.Engine.early_exit
-    && flat_o.Sim.Engine.recent_outputs = o2.Sim.Engine.recent_outputs
-    && Array.for_all2
-         (fun a b -> spec.Algo.Spec.equal_state a b)
-         flat_o.Sim.Engine.final_states o2.Sim.Engine.final_states
+  let reference =
+    path_of ~node_rounds ~wall:rwall ~minor:rminor ~major:rmajor
+  in
+  let c = spec.Algo.Spec.c in
+  let correct =
+    List.filter
+      (fun v -> not (List.mem v faulty))
+      (List.init spec.Algo.Spec.n Fun.id)
+  in
+  let offline =
+    Sim.Stabilise.of_outputs ~c ~correct
+      ~min_suffix:(Sim.Min_suffix.clamp ~c ~rounds None)
+      r.Engine_ref.outputs
+  in
+  let identical =
+    o.Sim.Engine.rounds_simulated = rounds
+    && Sim.Online.equal_verdict offline o.Sim.Engine.verdict
+    && Array.for_all2 spec.Algo.Spec.equal_state o.Sim.Engine.final_states
+         r.Engine_ref.states.(rounds)
+    && List.for_all
+         (fun (t, row) -> row = r.Engine_ref.outputs.(t))
+         o.Sim.Engine.recent_outputs
   in
   let counter name =
     match Stdx.Metrics.find (Stdx.Metrics.snapshot coverage) name with
@@ -120,16 +126,14 @@ let measure (type s) ~label ~(spec : s Algo.Spec.t) ~adversary ~faulty ~rounds
     adversary = Sim.Adversary.name adversary;
     faulty;
     rounds;
-    identical =
-      same boxed_o
-      && (match bridge with None -> true | Some (o, _) -> same o);
-    has_flat = Sim.Adversary.has_flat adversary;
+    identical;
     flat;
-    boxed;
-    bridge = Option.map snd bridge;
+    reference;
     flat_craft_phases = counter "engine.flat_craft_phases";
     bridged_craft_phases = counter "engine.bridged_craft_phases";
   }
+
+let speedup r = r.reference.wall_s /. Float.max 1e-9 r.flat.wall_s
 
 let json_of_row r =
   let path_fields tag p =
@@ -140,30 +144,26 @@ let json_of_row r =
       tag p.wall_s tag p.node_rounds_per_s tag p.gc.minor_w_nr tag
       p.gc.major_w_nr
   in
-  let bridge_fields =
-    match r.bridge with
-    | None -> ""
-    | Some p -> Printf.sprintf "     %s,\n" (path_fields "bridge" p)
-  in
   Printf.sprintf
     "    {\"label\": %S, \"n\": %d, \"adversary\": %S, \"faulty\": [%s],\n\
-    \     \"rounds\": %d, \"identical_outcomes\": %b, \"has_flat_kernel\": \
-     %b,\n\
+    \     \"rounds\": %d, \"identical_outcomes\": %b,\n\
     \     \"flat_craft_phases\": %d, \"bridged_craft_phases\": %d,\n\
-    \     %s,\n%s     %s,\n\
+    \     %s,\n\
+    \     %s,\n\
     \     \"speedup\": %.2f}"
     r.label r.n r.adversary
     (String.concat "," (List.map string_of_int r.faulty))
-    r.rounds r.identical r.has_flat r.flat_craft_phases r.bridged_craft_phases
-    (path_fields "flat" r.flat) bridge_fields
-    (path_fields "boxed" r.boxed)
-    (r.boxed.wall_s /. Float.max 1e-9 r.flat.wall_s)
+    r.rounds r.identical r.flat_craft_phases r.bridged_craft_phases
+    (path_fields "flat" r.flat)
+    (path_fields "reference" r.reference)
+    (speedup r)
 
 let run () =
   Bench_common.section
-    "Flat-state engine - packed codes vs boxed states, full horizon";
+    "Engine vs the naive reference simulator - full horizon";
   let a41 = (Bench_common.a41 ~c:2).Counting.Boost.spec in
   let a12_3 = (Bench_common.a12_3 ~c:1728).Counting.Boost.spec in
+  let greedy () = Sim.Adversary.greedy_confusion ~pool:8 () in
   let rows =
     [
       measure ~label:"A(4,1) benign" ~spec:a41
@@ -172,6 +172,8 @@ let run () =
       measure ~label:"A(4,1) split-brain" ~spec:a41
         ~adversary:(Sim.Adversary.split_brain ()) ~faulty:[ 0 ] ~rounds:4000
         ~seed:1 ();
+      measure ~label:"A(4,1) greedy-confusion" ~spec:a41 ~adversary:(greedy ())
+        ~faulty:[ 0 ] ~rounds:1000 ~seed:1 ();
       measure ~label:"A(12,3) benign" ~spec:a12_3
         ~adversary:(Sim.Adversary.benign ()) ~faulty:[] ~rounds:1200 ~seed:1
         ();
@@ -180,13 +182,15 @@ let run () =
       measure ~label:"A(12,3) split-brain" ~spec:a12_3
         ~adversary:(Sim.Adversary.split_brain ()) ~faulty:[ 0; 4; 8 ]
         ~rounds:4000 ~seed:1 ();
+      measure ~label:"A(12,3) greedy-confusion" ~spec:a12_3
+        ~adversary:(greedy ()) ~faulty:[ 0; 4; 8 ] ~rounds:100 ~seed:1 ();
     ]
   in
   let t =
     Stdx.Table.create
       [
-        "instance"; "adversary"; "rounds"; "flat nr/s"; "boxed nr/s";
-        "speedup"; "flat minW/nr"; "bridge minW/nr"; "identical";
+        "instance"; "adversary"; "rounds"; "flat nr/s"; "reference nr/s";
+        "speedup"; "flat minW/nr"; "bridged"; "identical";
       ]
   in
   List.iter
@@ -197,58 +201,56 @@ let run () =
           r.adversary;
           string_of_int r.rounds;
           Printf.sprintf "%.0f" r.flat.node_rounds_per_s;
-          Printf.sprintf "%.0f" r.boxed.node_rounds_per_s;
-          Printf.sprintf "%.1fx" (r.boxed.wall_s /. Float.max 1e-9 r.flat.wall_s);
+          Printf.sprintf "%.0f" r.reference.node_rounds_per_s;
+          Printf.sprintf "%.1fx" (speedup r);
           Printf.sprintf "%.2f" r.flat.gc.minor_w_nr;
-          (match r.bridge with
-          | None -> "-"
-          | Some p -> Printf.sprintf "%.2f" p.gc.minor_w_nr);
+          (if r.bridged_craft_phases > 0 then "yes" else "-");
           (if r.identical then "yes" else "NO");
         ])
     rows;
   Stdx.Table.print t;
-  let headline = List.find (fun r -> r.label = "A(12,3) benign") rows in
-  let hostile = List.find (fun r -> r.label = "A(12,3) split-brain") rows in
-  let hostile_bridge = Option.get hostile.bridge in
-  let alloc_reduction =
-    hostile_bridge.gc.minor_w_nr /. Float.max 1e-9 hostile.flat.gc.minor_w_nr
-  in
+  let find label = List.find (fun r -> r.label = label) rows in
+  let headline = find "A(12,3) benign" in
+  let hostile = find "A(12,3) split-brain" in
+  let bridged = find "A(12,3) greedy-confusion" in
   Printf.printf
-    "\nheadline: %.0f node-rounds/sec flat on A(12,3) (boxed: %.0f, %.1fx)\n"
-    headline.flat.node_rounds_per_s headline.boxed.node_rounds_per_s
-    (headline.boxed.wall_s /. Float.max 1e-9 headline.flat.wall_s);
+    "\nheadline: %.0f node-rounds/sec on A(12,3) (reference: %.0f, %.1fx)\n"
+    headline.flat.node_rounds_per_s headline.reference.node_rounds_per_s
+    (speedup headline);
   Printf.printf
-    "hostile:  %.0f node-rounds/sec flat on A(12,3)/split-brain\n\
-    \          (%.2f minor words/nr vs %.2f bridged: %.0fx less allocation)\n"
+    "hostile:  %.0f node-rounds/sec on A(12,3)/split-brain (%.2f minor \
+     words/nr)\n\
+     bridged:  %.0f node-rounds/sec on A(12,3)/greedy-confusion (%.2f minor \
+     words/nr)\n"
     hostile.flat.node_rounds_per_s hostile.flat.gc.minor_w_nr
-    hostile_bridge.gc.minor_w_nr alloc_reduction;
+    bridged.flat.node_rounds_per_s bridged.flat.gc.minor_w_nr;
   let all_identical = List.for_all (fun r -> r.identical) rows in
   let oc = open_out json_path in
   Printf.fprintf oc
     "{\n\
-    \  \"experiment\": \"flat-vs-boxed-engine\",\n\
+    \  \"experiment\": \"engine-vs-reference\",\n\
     \  \"headline\": {\"instance\": %S, \"node_rounds_per_s\": %.1f,\n\
-    \               \"boxed_node_rounds_per_s\": %.1f, \"speedup\": %.2f},\n\
+    \               \"reference_node_rounds_per_s\": %.1f, \"speedup\": %.2f},\n\
     \  \"hostile_headline\": {\"instance\": %S, \"adversary\": %S,\n\
     \               \"node_rounds_per_s\": %.1f,\n\
-    \               \"minor_words_per_node_round\": %.2f,\n\
-    \               \"bridge_minor_words_per_node_round\": %.2f,\n\
-    \               \"minor_alloc_reduction_vs_bridge\": %.1f},\n\
+    \               \"minor_words_per_node_round\": %.2f},\n\
+    \  \"bridged_headline\": {\"instance\": %S, \"adversary\": %S,\n\
+    \               \"node_rounds_per_s\": %.1f,\n\
+    \               \"minor_words_per_node_round\": %.2f},\n\
     \  \"all_identical_outcomes\": %b,\n\
     \  \"measurements\": [\n%s\n  ],\n\
     \  \"metrics\": %s\n\
      }\n"
     headline.label headline.flat.node_rounds_per_s
-    headline.boxed.node_rounds_per_s
-    (headline.boxed.wall_s /. Float.max 1e-9 headline.flat.wall_s)
-    hostile.label hostile.adversary hostile.flat.node_rounds_per_s
-    hostile.flat.gc.minor_w_nr hostile_bridge.gc.minor_w_nr alloc_reduction
-    all_identical
+    headline.reference.node_rounds_per_s (speedup headline) hostile.label
+    hostile.adversary hostile.flat.node_rounds_per_s hostile.flat.gc.minor_w_nr
+    bridged.label bridged.adversary bridged.flat.node_rounds_per_s
+    bridged.flat.gc.minor_w_nr all_identical
     (String.concat ",\n" (List.map json_of_row rows))
     (Stdx.Metrics.to_json (Stdx.Metrics.snapshot metrics));
   close_out oc;
   Printf.printf "[engine throughput record written to %s]\n" json_path;
   if not all_identical then begin
-    print_endline "ERROR: flat, bridged and boxed outcomes differ!";
+    print_endline "ERROR: engine and reference outcomes differ!";
     exit 1
   end

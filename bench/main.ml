@@ -7,7 +7,7 @@ let experiments =
   [
     ("sweep", "Streaming engine: early exit vs full horizon", Bench_sweep.run);
     ("parallel", "Cost-aware sweep scheduler: jobs ladder + claiming-policy duel", Bench_parallel.run);
-    ("engine", "Flat-state engine: packed codes vs boxed states", Bench_engine.run);
+    ("engine", "Engine vs the naive reference simulator", Bench_engine.run);
     ("obs", "Observability overhead: spans + heartbeat vs bare engine", Bench_obs.run);
     ("table1", "Table 1: the 2-counting algorithm landscape", Bench_table1.run);
     ("figure1", "Figure 1: leader pointers coincide", Bench_figures.figure1);

@@ -370,11 +370,18 @@ let run_cmd =
     | Error (`Msg m) -> `Error (false, m)
     | Ok tower -> (
       let (Algo.Spec.Packed spec) = Counting.Build.tower tower in
-      match adversary_of_name adversary with
-      | None -> `Error (false, "unknown adversary; see `countctl adversaries'")
-      | Some _ when (match opts.min_suffix with Some m -> m < 1 | None -> false)
-        -> `Error (false, "--min-suffix must be >= 1")
-      | Some adversary ->
+      (* A tower too wide for packed state codes is planned, never run;
+         the error gives its state bits. *)
+      match
+        (Algo.Spec.codec_exn ~who:"run" spec, adversary_of_name adversary)
+      with
+      | exception Invalid_argument m -> `Error (false, m)
+      | _, None ->
+        `Error (false, "unknown adversary; see `countctl adversaries'")
+      | _, Some _
+        when (match opts.min_suffix with Some m -> m < 1 | None -> false) ->
+        `Error (false, "--min-suffix must be >= 1")
+      | _, Some adversary ->
         let rounds = Option.value opts.rounds ~default:4000 in
         let seeds = Option.value opts.seeds ~default:[ 1 ] in
         let mode =

@@ -10,9 +10,9 @@ dune runtest
 # jobs-determinism tests read REPRO_JOBS (worker count) and
 # REPRO_SCHEDULE (pinned policy), so this exercises the multi-domain
 # path and every claiming order even when the default jobs count is 1.
-# sim.flat rides the loop because its differentials (flat vs boxed
-# codec, flat crafters vs the forced boxed bridge) include chaos
-# campaigns through the parallel harness.
+# sim.flat rides the loop because its differentials against the
+# reference simulator (test/engine_ref) include chaos campaigns through
+# the parallel harness, run at REPRO_JOBS under the pinned policy.
 for schedule in inorder cost chunk:3 chunk:auto; do
   REPRO_JOBS=4 REPRO_SCHEDULE="$schedule" \
     dune exec test/main.exe -- test 'stdx.pool' -q
@@ -46,6 +46,19 @@ REPRO_JOBS=4 dune exec test/main.exe -- test 'sim.hunt.corpus' -q
 # reproduce the sequential runs (kernel scratch is per run, never per
 # spec); pulling.oracle holds the kernel to the boxed reference.
 REPRO_JOBS=4 dune exec test/main.exe -- test 'pulling.*' -q
+
+# Codec smoke: A(324,31) needs 65 state bits per node, more than a
+# packed state code holds. It must still plan, and `run` must refuse it
+# with an error that gives the state bits.
+dune exec bin/countctl.exe -- plan --levels 4:1,3:3,3:7,3:15,3:31 > /dev/null
+wide_err="$(mktemp)"
+if dune exec bin/countctl.exe -- run --levels 4:1,3:3,3:7,3:15,3:31 \
+     --rounds 10 > /dev/null 2> "$wide_err"; then
+  echo "countctl run simulated a tower wider than 62 bits" >&2
+  exit 1
+fi
+grep -q "65 bits per node, more than the 62 bits" "$wide_err"
+rm -f "$wide_err"
 
 # Chaos smoke: a fixed-seed campaign on A(4,1) must re-stabilise after
 # every scheduled perturbation (countctl exits non-zero otherwise), and
@@ -102,10 +115,10 @@ dune exec bin/countctl.exe -- hunt --algorithm leader:4:5 --claim-f 1 \
 # covers a fresh BENCH_chaos.json.
 dune exec bench/main.exe -- chaos > /dev/null
 
-# Regenerate the engine throughput record (flat with adversary
-# kernels, flat on the boxed crafting bridge, fully boxed — plus GC
-# accounting per path); the bench itself exits non-zero if any of the
-# three paths' outcomes ever differ.
+# Regenerate the engine throughput record (the engine against the
+# naive reference simulator, plus GC accounting; the greedy-confusion
+# rows show the bridge's cost); the bench itself exits non-zero if the
+# engine's outcome ever differs from the reference's.
 dune exec bench/main.exe -- engine > /dev/null
 
 # Regenerate the scheduler record: the jobs ladder and the

@@ -56,6 +56,22 @@ let identity_codec ?random_code ~num_states ~transition ~output () : int codec
     fresh_kernel = (fun () -> { step = transition });
   }
 
+let codec_exn ~who spec =
+  match spec.codec with
+  | Some codec -> codec
+  | None when spec.state_bits > 62 ->
+    invalid_arg
+      (Printf.sprintf
+         "%s: spec %s has no codec, so it cannot be simulated: its states \
+          need %d bits per node, more than the 62 bits of a packed state code"
+         who spec.name spec.state_bits)
+  | None ->
+    invalid_arg
+      (Printf.sprintf
+         "%s: spec %s has no codec, so it cannot be simulated (%d state bits \
+          per node; Spec.with_derived_codec builds one from all_states)"
+         who spec.name spec.state_bits)
+
 let derive_codec spec =
   match spec.all_states with
   | None -> None

@@ -43,17 +43,19 @@ type 's codec = {
           encode_state (random_state rng)], {e consuming the rng
           stream identically} — flat adversary kernels fabricate
           random messages through this, so any divergence (value or
-          draw count) breaks the flat/boxed bit-identity contract.
+          draw count) breaks the engine's draw-for-draw agreement
+          with the boxed reference simulator.
           {!validate} spot-checks both on fresh streams. *)
   fresh_kernel : unit -> kernel;
       (** a fresh kernel with private scratch; called once per engine run
           so concurrent runs over a shared spec never race *)
 }
 (** Dense integer encoding of the state set [X], the contract behind the
-    flat (packed state vector) simulation path. The encoding is a bijection
-    between [X] and [\[0, num_states)] that agrees with [compare_state]'s
-    order, and the kernel computes exactly the spec's [transition] in code
-    space — the flat engine is certified bit-identical to the boxed one. *)
+    simulation engine, which runs on packed state vectors only. The
+    encoding is a bijection between [X] and [\[0, num_states)] that agrees
+    with [compare_state]'s order, and the kernel computes exactly the
+    spec's [transition] in code space — certified against a boxed
+    reference simulator in the test suite. *)
 
 type 's t = {
   name : string;  (** human-readable, e.g. ["boost(k=3,F=3) over triv"] *)
@@ -78,9 +80,16 @@ type 's t = {
           [received.(self)] is the node's own state) *)
   output : self:int -> 's -> int;  (** [h(self, state)], in [\[0, c)] *)
   codec : 's codec option;
-      (** dense int encoding of [X] enabling the flat engine path; [None]
-          falls back to the boxed per-node simulation *)
+      (** dense int encoding of [X]; required to simulate the spec (the
+          engine runs on packed state codes only). [None] only for
+          specs whose states do not fit a 62-bit code, or that are
+          planned or model-checked but never simulated *)
 }
+
+val codec_exn : who:string -> 's t -> 's codec
+(** [codec_exn ~who spec] is [spec]'s codec. Raises [Invalid_argument]
+    prefixed with [who], naming the spec and its [state_bits], when it
+    has none. *)
 
 val generic_kernel :
   n:int ->

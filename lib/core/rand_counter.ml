@@ -23,9 +23,9 @@ let make ~n ~f : int Algo.Spec.t =
     transition;
     output = (fun ~self:_ s -> s);
     codec =
-      (* The identity kernel consumes the per-node rng exactly as the boxed
-         transition does, keeping the flat path bit-identical even though
-         the algorithm is randomised. *)
+      (* The identity kernel is the boxed transition itself, so it
+         consumes the per-node rng exactly as the reference simulator
+         does even though the algorithm is randomised. *)
       Some
         (Algo.Spec.identity_codec ~num_states:2 ~transition
            ~output:(fun ~self:_ code -> code)

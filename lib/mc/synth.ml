@@ -48,6 +48,19 @@ let to_spec cand =
     cand.table;
   let rank = multiset_rank fam in
   let rank_count = fam.key_count / fam.s in
+  let transition ~self ~rng:_ received =
+    let counts = Array.make fam.s 0 in
+    Array.iteri
+      (fun j st ->
+        if j <> self then begin
+          let st = if st >= 0 && st < fam.s then st else 0 in
+          counts.(st) <- counts.(st) + 1
+        end)
+      received;
+    let key = (received.(self) * rank_count) + rank (Array.to_list counts) in
+    cand.table.(key)
+  in
+  let output ~self:_ st = st mod fam.c in
   {
     Algo.Spec.name =
       Printf.sprintf "synth(n=%d,f=%d,c=%d,s=%d)" fam.n fam.f fam.c fam.s;
@@ -61,24 +74,12 @@ let to_spec cand =
     pp_state = Format.pp_print_int;
     random_state = (fun rng -> Stdx.Rng.int rng fam.s);
     all_states = Some (List.init fam.s (fun i -> i));
-    transition =
-      (fun ~self ~rng:_ received ->
-        let counts = Array.make fam.s 0 in
-        Array.iteri
-          (fun j st ->
-            if j <> self then begin
-              let st = if st >= 0 && st < fam.s then st else 0 in
-              counts.(st) <- counts.(st) + 1
-            end)
-          received;
-        let key =
-          (received.(self) * rank_count) + rank (Array.to_list counts)
-        in
-        cand.table.(key));
-    output = (fun ~self:_ st -> st mod fam.c);
-    codec = None;
+    transition;
+    output;
+    (* States are already the dense codes [0, s). *)
+    codec =
+      Some (Algo.Spec.identity_codec ~num_states:fam.s ~transition ~output ());
   }
-  |> Algo.Spec.with_derived_codec
 
 let table_size fam =
   try Stdx.Imath.pow fam.s fam.key_count with Failure _ -> max_int

@@ -216,11 +216,7 @@ let fresh_kernel ~king_mode ~fixed_links ~(inner : 's Algo.Spec.t)
 let construct_gen ~king_mode ~links_seed ~(inner : 's Algo.Spec.t) ~k ~big_f
     ~big_c ~samples =
   if samples < 1 then invalid_arg "Sampled.construct: samples < 1";
-  let ic =
-    match inner.Algo.Spec.codec with
-    | Some ic -> ic
-    | None -> invalid_arg "Sampled.construct: inner spec has no codec"
-  in
+  let ic = Algo.Spec.codec_exn ~who:"Sampled.construct" inner in
   let p =
     Counting.Boost.plan_exn ~k ~big_f ~big_c ~n_inner:inner.Algo.Spec.n
       ~f_inner:inner.Algo.Spec.f ~inner_c:inner.Algo.Spec.c

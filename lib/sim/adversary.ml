@@ -28,8 +28,6 @@ type 's t = {
 }
 
 let name t = t.name
-let has_flat t = t.fresh_flat <> None
-let without_flat t = { t with fresh_flat = None }
 
 let is_faulty faulty v = Array.exists (fun u -> u = v) faulty
 
@@ -72,8 +70,7 @@ let fill_correct (dst : int array) ~n ~faulty =
   done;
   !k
 
-(* Ring of the last [depth] packed state rows, newest at [head]: the
-   packed-code mirror of the boxed crafters' state-vector history lists,
+(* Ring of the last [depth] packed state rows, newest at [head],
    preallocated once per run. *)
 type ring = {
   rows : int array array;
@@ -95,359 +92,210 @@ let ring_push ring states n =
   ring.pushes <- ring.pushes + 1
 
 (* The row [delay] pushes back, or the newest row (the just-pushed
-   current states) while history is still filling — exactly the boxed
-   [history_nth] fallback. *)
+   current states) while history is still filling. *)
 let ring_nth ring ~delay =
   let depth = Array.length ring.rows in
   if ring.pushes > delay then
     ring.rows.((ring.head - delay + (2 * depth)) mod depth)
   else ring.rows.(ring.head)
 
+(* The boxed face of a flat kernel: encode the states through the spec's
+   codec, run the kernel, decode the message rows. The kernel instance
+   is made on the first call, when the node count is known, and kept
+   for the crafter's lifetime, so its history carries across rounds. *)
+let boxed_of_flat make () =
+  let kernel = ref None in
+  {
+    craft =
+      (fun ~spec ~rng ~round ~states ~faulty ->
+        let codec = Algo.Spec.codec_exn ~who:"Adversary.craft" spec in
+        let n = Array.length states in
+        let k =
+          match !kernel with
+          | Some k -> k
+          | None ->
+            let k = make { n; random_code = codec.Algo.Spec.random_code } in
+            kernel := Some k;
+            k
+        in
+        let packed = Statebuf.create ~num_states:codec.Algo.Spec.num_states n in
+        Array.iteri
+          (fun v s -> Statebuf.set packed v (codec.Algo.Spec.encode_state s))
+          states;
+        let out = Array.make (Array.length faulty * n) 0 in
+        k.craft_flat ~rng ~round ~states:packed ~faulty ~out;
+        Array.mapi
+          (fun fi _ ->
+            Array.init n (fun r ->
+                codec.Algo.Spec.decode_state out.((fi * n) + r)))
+          faulty);
+  }
+
+(* A standard strategy: one flat kernel, reached boxed through the
+   codec adapter. *)
+let standard ?(benign = false) name make =
+  { name; benign; fresh = boxed_of_flat make; fresh_flat = Some make }
+
 (* --- the zoo --------------------------------------------------------- *)
 
 let benign () =
-  {
-    name = "benign";
-    benign = true;
-    fresh =
-      (fun () ->
-        {
-          craft =
-            (fun ~spec:_ ~rng:_ ~round:_ ~states ~faulty ->
-              matrix ~n:(Array.length states) ~faulty
-                (fun ~fi:_ ~sender ~recipient:_ -> states.(sender)));
-        });
-    fresh_flat =
-      Some
-        (fun env ->
-          let n = env.n in
-          {
-            craft_flat =
-              (fun ~rng:_ ~round:_ ~states ~faulty ~out ->
-                for fi = 0 to Array.length faulty - 1 do
-                  fill_row out ~base:(fi * n) ~n
-                    (Statebuf.get states faulty.(fi))
-                done);
-          });
-  }
+  standard ~benign:true "benign" (fun env ->
+      let n = env.n in
+      {
+        craft_flat =
+          (fun ~rng:_ ~round:_ ~states ~faulty ~out ->
+            for fi = 0 to Array.length faulty - 1 do
+              fill_row out ~base:(fi * n) ~n (Statebuf.get states faulty.(fi))
+            done);
+      })
 
 let stuck () =
-  {
-    name = "stuck";
-    benign = false;
-    fresh =
-      (fun () ->
-        let frozen = ref None in
-        {
-          craft =
-            (fun ~spec:_ ~rng:_ ~round:_ ~states ~faulty ->
-              let frozen_states =
-                match !frozen with
-                | Some fs -> fs
-                | None ->
-                  let fs = Array.map (fun v -> states.(v)) faulty in
-                  frozen := Some fs;
-                  fs
-              in
-              matrix ~n:(Array.length states) ~faulty
-                (fun ~fi ~sender:_ ~recipient:_ -> frozen_states.(fi)));
-        });
-    fresh_flat =
-      Some
-        (fun env ->
-          let n = env.n in
-          let frozen = Array.make n 0 in
-          let have = ref false in
-          {
-            craft_flat =
-              (fun ~rng:_ ~round:_ ~states ~faulty ~out ->
-                let nf = Array.length faulty in
-                if not !have then begin
-                  for fi = 0 to nf - 1 do
-                    frozen.(fi) <- Statebuf.get states faulty.(fi)
-                  done;
-                  have := true
-                end;
-                for fi = 0 to nf - 1 do
-                  fill_row out ~base:(fi * n) ~n frozen.(fi)
-                done);
-          });
-  }
+  standard "stuck" (fun env ->
+      let n = env.n in
+      let frozen = Array.make n 0 in
+      let have = ref false in
+      {
+        craft_flat =
+          (fun ~rng:_ ~round:_ ~states ~faulty ~out ->
+            let nf = Array.length faulty in
+            if not !have then begin
+              for fi = 0 to nf - 1 do
+                frozen.(fi) <- Statebuf.get states faulty.(fi)
+              done;
+              have := true
+            end;
+            for fi = 0 to nf - 1 do
+              fill_row out ~base:(fi * n) ~n frozen.(fi)
+            done);
+      })
 
 let random_consistent () =
-  {
-    name = "random-consistent";
-    benign = false;
-    fresh =
-      (fun () ->
-        {
-          craft =
-            (fun ~spec ~rng ~round:_ ~states ~faulty ->
-              let per_round = Array.map (fun _ -> spec.Algo.Spec.random_state rng) faulty in
-              matrix ~n:(Array.length states) ~faulty
-                (fun ~fi ~sender:_ ~recipient:_ -> per_round.(fi)));
-        });
-    fresh_flat =
-      Some
-        (fun env ->
-          let n = env.n in
-          {
-            craft_flat =
-              (fun ~rng ~round:_ ~states:_ ~faulty ~out ->
-                (* One draw per faulty node in fi order — the boxed
-                   per-round Array.map draw order. *)
-                for fi = 0 to Array.length faulty - 1 do
-                  fill_row out ~base:(fi * n) ~n (env.random_code rng)
-                done);
-          });
-  }
+  standard "random-consistent" (fun env ->
+      let n = env.n in
+      {
+        craft_flat =
+          (fun ~rng ~round:_ ~states:_ ~faulty ~out ->
+            (* One draw per faulty node, in fi order. *)
+            for fi = 0 to Array.length faulty - 1 do
+              fill_row out ~base:(fi * n) ~n (env.random_code rng)
+            done);
+      })
 
 let random_equivocate () =
-  {
-    name = "random-equivocate";
-    benign = false;
-    fresh =
-      (fun () ->
-        {
-          craft =
-            (fun ~spec ~rng ~round:_ ~states ~faulty ->
-              matrix ~n:(Array.length states) ~faulty
-                (fun ~fi:_ ~sender:_ ~recipient:_ -> spec.Algo.Spec.random_state rng));
-        });
-    fresh_flat =
-      Some
-        (fun env ->
-          let n = env.n in
-          {
-            craft_flat =
-              (fun ~rng ~round:_ ~states:_ ~faulty ~out ->
-                (* Draws in matrix order: fi outer, recipient inner. *)
-                for fi = 0 to Array.length faulty - 1 do
-                  let base = fi * n in
-                  for r = 0 to n - 1 do
-                    out.(base + r) <- env.random_code rng
-                  done
-                done);
-          });
-  }
+  standard "random-equivocate" (fun env ->
+      let n = env.n in
+      {
+        craft_flat =
+          (fun ~rng ~round:_ ~states:_ ~faulty ~out ->
+            (* Draws in matrix order: fi outer, recipient inner. *)
+            for fi = 0 to Array.length faulty - 1 do
+              let base = fi * n in
+              for r = 0 to n - 1 do
+                out.(base + r) <- env.random_code rng
+              done
+            done);
+      })
 
 let mimic ~offset () =
-  {
-    name = Printf.sprintf "mimic(+%d)" offset;
-    benign = false;
-    fresh =
-      (fun () ->
-        {
-          craft =
-            (fun ~spec:_ ~rng:_ ~round ~states ~faulty ->
-              let correct = correct_ids (Array.length states) faulty in
-              matrix ~n:(Array.length states) ~faulty
-                (fun ~fi ~sender ~recipient:_ ->
-                  (* With no correct node to impersonate (n = f), fall
-                     back to replaying the faulty node's own state. *)
-                  let victim =
-                    if Array.length correct = 0 then sender
-                    else correct.((fi + offset + round) mod Array.length correct)
-                  in
-                  states.(victim)));
-        });
-    fresh_flat =
-      Some
-        (fun env ->
-          let n = env.n in
-          let correct = Array.make n 0 in
-          {
-            craft_flat =
-              (fun ~rng:_ ~round ~states ~faulty ~out ->
-                let nc = fill_correct correct ~n ~faulty in
-                for fi = 0 to Array.length faulty - 1 do
-                  let victim =
-                    if nc = 0 then faulty.(fi)
-                    else correct.((fi + offset + round) mod nc)
-                  in
-                  fill_row out ~base:(fi * n) ~n (Statebuf.get states victim)
-                done);
-          });
-  }
+  standard (Printf.sprintf "mimic(+%d)" offset) (fun env ->
+      let n = env.n in
+      let correct = Array.make n 0 in
+      {
+        craft_flat =
+          (fun ~rng:_ ~round ~states ~faulty ~out ->
+            let nc = fill_correct correct ~n ~faulty in
+            for fi = 0 to Array.length faulty - 1 do
+              (* With no correct node to impersonate (n = f), fall back
+                 to replaying the faulty node's own state. *)
+              let victim =
+                if nc = 0 then faulty.(fi)
+                else correct.((fi + offset + round) mod nc)
+              in
+              fill_row out ~base:(fi * n) ~n (Statebuf.get states victim)
+            done);
+      })
 
 let split_brain () =
-  {
-    name = "split-brain";
-    benign = false;
-    fresh =
-      (fun () ->
-        {
-          craft =
-            (fun ~spec:_ ~rng:_ ~round:_ ~states ~faulty ->
-              let correct = correct_ids (Array.length states) faulty in
-              matrix ~n:(Array.length states) ~faulty
-                (fun ~fi:_ ~sender ~recipient ->
-                  (* No correct halves to play against each other when
-                     n = f: replay the faulty node's own state. *)
-                  if Array.length correct = 0 then states.(sender)
-                  else begin
-                    let a = correct.(0) in
-                    let b = correct.(Array.length correct - 1) in
-                    if recipient mod 2 = 0 then states.(a) else states.(b)
-                  end));
-        });
-    fresh_flat =
-      Some
-        (fun env ->
-          let n = env.n in
-          let correct = Array.make n 0 in
-          {
-            craft_flat =
-              (fun ~rng:_ ~round:_ ~states ~faulty ~out ->
-                let nc = fill_correct correct ~n ~faulty in
-                for fi = 0 to Array.length faulty - 1 do
-                  let base = fi * n in
-                  if nc = 0 then
-                    fill_row out ~base ~n (Statebuf.get states faulty.(fi))
-                  else begin
-                    let a = Statebuf.get states correct.(0) in
-                    let b = Statebuf.get states correct.(nc - 1) in
-                    for r = 0 to n - 1 do
-                      out.(base + r) <- (if r mod 2 = 0 then a else b)
-                    done
-                  end
-                done);
-          });
-  }
-
-(* Bounded history of past state vectors, newest first. *)
-let history_nth history ~delay ~fallback =
-  let rec nth i = function
-    | [] -> fallback
-    | h :: t -> if i = 0 then h else nth (i - 1) t
-  in
-  nth delay !history
-
-let history_push history ~keep states =
-  let rec take i = function
-    | [] -> []
-    | h :: t -> if i = 0 then [] else h :: take (i - 1) t
-  in
-  history := take keep (Array.copy states :: !history)
+  standard "split-brain" (fun env ->
+      let n = env.n in
+      let correct = Array.make n 0 in
+      {
+        craft_flat =
+          (fun ~rng:_ ~round:_ ~states ~faulty ~out ->
+            let nc = fill_correct correct ~n ~faulty in
+            for fi = 0 to Array.length faulty - 1 do
+              let base = fi * n in
+              (* No correct halves to play against each other when
+                 n = f: replay the faulty node's own state. *)
+              if nc = 0 then
+                fill_row out ~base ~n (Statebuf.get states faulty.(fi))
+              else begin
+                let a = Statebuf.get states correct.(0) in
+                let b = Statebuf.get states correct.(nc - 1) in
+                for r = 0 to n - 1 do
+                  out.(base + r) <- (if r mod 2 = 0 then a else b)
+                done
+              end
+            done);
+      })
 
 let stale ~delay () =
   if delay < 0 then invalid_arg "Adversary.stale: negative delay";
-  {
-    name = Printf.sprintf "stale(%d)" delay;
-    benign = false;
-    fresh =
-      (fun () ->
-        let history = ref [] in
-        {
-          craft =
-            (fun ~spec:_ ~rng:_ ~round:_ ~states ~faulty ->
-              history_push history ~keep:(delay + 1) states;
-              let old = history_nth history ~delay ~fallback:states in
-              matrix ~n:(Array.length states) ~faulty
-                (fun ~fi:_ ~sender ~recipient:_ -> old.(sender)));
-        });
-    fresh_flat =
-      Some
-        (fun env ->
-          let n = env.n in
-          let ring = ring_create ~depth:(delay + 1) ~n in
-          {
-            craft_flat =
-              (fun ~rng:_ ~round:_ ~states ~faulty ~out ->
-                ring_push ring states n;
-                let old = ring_nth ring ~delay in
-                for fi = 0 to Array.length faulty - 1 do
-                  fill_row out ~base:(fi * n) ~n old.(faulty.(fi))
-                done);
-          });
-  }
+  standard (Printf.sprintf "stale(%d)" delay) (fun env ->
+      let n = env.n in
+      let ring = ring_create ~depth:(delay + 1) ~n in
+      {
+        craft_flat =
+          (fun ~rng:_ ~round:_ ~states ~faulty ~out ->
+            ring_push ring states n;
+            let old = ring_nth ring ~delay in
+            for fi = 0 to Array.length faulty - 1 do
+              fill_row out ~base:(fi * n) ~n old.(faulty.(fi))
+            done);
+      })
 
 let replay_correct ~delay () =
   if delay < 0 then invalid_arg "Adversary.replay_correct: negative delay";
-  {
-    name = Printf.sprintf "replay-correct(%d)" delay;
-    benign = false;
-    fresh =
-      (fun () ->
-        let history = ref [] in
-        {
-          craft =
-            (fun ~spec:_ ~rng:_ ~round:_ ~states ~faulty ->
-              history_push history ~keep:(delay + 1) states;
-              let old = history_nth history ~delay ~fallback:states in
-              let correct = correct_ids (Array.length states) faulty in
-              matrix ~n:(Array.length states) ~faulty
-                (fun ~fi ~sender ~recipient:_ ->
-                  (* n = f: no correct node to replay, use own old state. *)
-                  if Array.length correct = 0 then old.(sender)
-                  else old.(correct.(fi mod Array.length correct))));
-        });
-    fresh_flat =
-      Some
-        (fun env ->
-          let n = env.n in
-          let ring = ring_create ~depth:(delay + 1) ~n in
-          let correct = Array.make n 0 in
-          {
-            craft_flat =
-              (fun ~rng:_ ~round:_ ~states ~faulty ~out ->
-                ring_push ring states n;
-                let old = ring_nth ring ~delay in
-                let nc = fill_correct correct ~n ~faulty in
-                for fi = 0 to Array.length faulty - 1 do
-                  let src = if nc = 0 then faulty.(fi) else correct.(fi mod nc) in
-                  fill_row out ~base:(fi * n) ~n old.(src)
-                done);
-          });
-  }
+  standard (Printf.sprintf "replay-correct(%d)" delay) (fun env ->
+      let n = env.n in
+      let ring = ring_create ~depth:(delay + 1) ~n in
+      let correct = Array.make n 0 in
+      {
+        craft_flat =
+          (fun ~rng:_ ~round:_ ~states ~faulty ~out ->
+            ring_push ring states n;
+            let old = ring_nth ring ~delay in
+            let nc = fill_correct correct ~n ~faulty in
+            for fi = 0 to Array.length faulty - 1 do
+              (* n = f: no correct node to replay, use own old state. *)
+              let src = if nc = 0 then faulty.(fi) else correct.(fi mod nc) in
+              fill_row out ~base:(fi * n) ~n old.(src)
+            done);
+      })
 
 let flip_flop () =
-  {
-    name = "flip-flop";
-    benign = false;
-    fresh =
-      (fun () ->
-        let pair = ref None in
-        {
-          craft =
-            (fun ~spec ~rng ~round ~states ~faulty ->
-              let s0, s1 =
-                match !pair with
-                | Some p -> p
-                | None ->
-                  let p = (spec.Algo.Spec.random_state rng, spec.Algo.Spec.random_state rng) in
-                  pair := Some p;
-                  p
-              in
-              matrix ~n:(Array.length states) ~faulty
-                (fun ~fi:_ ~sender:_ ~recipient ->
-                  let phase = (round + recipient) mod 2 in
-                  if phase = 0 then s0 else s1));
-        });
-    fresh_flat =
-      Some
-        (fun env ->
-          let n = env.n in
-          let pair = ref None in
-          {
-            craft_flat =
-              (fun ~rng ~round ~states:_ ~faulty ~out ->
-                let s0, s1 =
-                  match !pair with
-                  | Some p -> p
-                  | None ->
-                    let p = (env.random_code rng, env.random_code rng) in
-                    pair := Some p;
-                    p
-                in
-                for fi = 0 to Array.length faulty - 1 do
-                  let base = fi * n in
-                  for r = 0 to n - 1 do
-                    out.(base + r) <- (if (round + r) mod 2 = 0 then s0 else s1)
-                  done
-                done);
-          });
-  }
+  standard "flip-flop" (fun env ->
+      let n = env.n in
+      let pair = ref None in
+      {
+        craft_flat =
+          (fun ~rng ~round ~states:_ ~faulty ~out ->
+            let s0, s1 =
+              match !pair with
+              | Some p -> p
+              | None ->
+                let s1 = env.random_code rng in
+                let s0 = env.random_code rng in
+                pair := Some (s0, s1);
+                (s0, s1)
+            in
+            for fi = 0 to Array.length faulty - 1 do
+              let base = fi * n in
+              for r = 0 to n - 1 do
+                out.(base + r) <- (if (round + r) mod 2 = 0 then s0 else s1)
+              done
+            done);
+      })
 
 (* Spread of a multiset of outputs: number of distinct values. *)
 let distinct_count compare values =
@@ -460,7 +308,7 @@ let greedy_confusion ~pool () =
     benign = false;
     (* One-step lookahead simulates recipients' transitions on boxed
        states and splits probe rngs — intrinsically boxed; the engine
-       bridges it (decode, craft, re-encode) on the flat path. *)
+       bridges it (decode, craft, re-encode). *)
     fresh_flat = None;
     fresh =
       (fun () ->

@@ -11,7 +11,15 @@
     nodes (current or past), or by simulating recipients' transitions.
     This is exactly the power a real adversary has without knowing the
     state type's internal semantics, and it is enough to break naive
-    algorithms (see the ablation benches). *)
+    algorithms (see the ablation benches).
+
+    Each standard strategy has one implementation, a flat kernel over
+    packed state codes ({!flat_crafter}); its boxed {!crafter} is the same
+    kernel behind a codec adapter. Only {!greedy_confusion} crafts boxed
+    states, and the engine bridges it. The one-line semantics below are
+    the specification: the reference simulator of the test suite
+    ([test/engine_ref]) implements each of them independently over boxed
+    states, and the engine must match it draw for draw. *)
 
 type 's crafter = {
   craft :
@@ -44,19 +52,19 @@ type flat_crafter = {
     faulty:int array ->
     out:int array ->
     unit;
-      (** Code-space twin of {!crafter.craft}: read the packed current
+      (** Code-space crafting: read the packed current
           states, write the crafted message codes into the preallocated
           [out] with [out.(fi * n + r)] = the code the [fi]-th faulty
           node sends to recipient [r]. Only slots of the current faulty
           set may be written ([out] is engine-owned scratch, not
           cleared between rounds).
 
-          {b RNG stream contract:} a flat kernel must consume [rng]
-          draw-for-draw like its boxed twin on the same round — same
-          number of draws, same order, each random state drawn through
-          {!flat_env.random_code}. This is what keeps flat-crafted runs
-          bit-identical to boxed-crafted ones (certified by the
-          differential suite in [test_flat.ml]). *)
+          {b RNG stream contract:} a kernel draws every random state
+          through {!flat_env.random_code}, in the order its strategy's
+          documented semantics implies (faulty index outer, recipient
+          inner). The reference simulator makes the same draws over
+          boxed states; the differential suite in [test_flat.ml] holds
+          the engine to it round for round. *)
 }
 
 type 's t = {
@@ -66,26 +74,19 @@ type 's t = {
           {!benign}. Suite membership ({!hostile_suite}) keys on this tag,
           not on the display name. *)
   fresh : unit -> 's crafter;
-      (** A new stateful crafter per run (history buffers etc.). *)
+      (** A new stateful crafter per run (history buffers etc.). For the
+          standard strategies this is the flat kernel behind an adapter:
+          encode the states through the spec's codec, run the kernel,
+          decode the message rows. It raises [Invalid_argument] on a spec
+          without a codec. *)
   fresh_flat : (flat_env -> flat_crafter) option;
-      (** Code-level kernel of the same strategy, used by the engine's
-          flat path; a fresh stateful instance per phase, like {!fresh}.
-          [None] ({!greedy_confusion}, and strategies added without a
-          kernel) makes the flat engine fall back to the boxed crafting
-          bridge — decode, [craft], re-encode — per phase, so chaos
-          schedules can mix flat-kerneled and bridged adversaries
-          freely. *)
+      (** The strategy's code-level kernel, used by the engine; a fresh
+          stateful instance per phase. [None] ({!greedy_confusion}) makes
+          the engine bridge the phase: decode the states, call [craft],
+          re-encode the messages. *)
 }
 
 val name : 's t -> string
-
-val has_flat : 's t -> bool
-(** [fresh_flat <> None]: this strategy runs natively on the flat path. *)
-
-val without_flat : 's t -> 's t
-(** Same strategy with the flat kernel stripped: the engine's flat path
-    is forced through the boxed crafting bridge. For differential tests
-    of the bridge itself. *)
 
 val benign : unit -> 's t
 (** Faulty nodes behave exactly like correct ones. *)
@@ -131,11 +132,12 @@ val replay_correct : delay:int -> unit -> 's t
     until history fills. *)
 
 val flip_flop : unit -> 's t
-(** Alternate between two random states drawn once at the start, switching
-    every round; recipients with odd id see the phase inverted. *)
+(** Alternate between two random states drawn once at the start (the
+    odd-round state first), switching every round; recipients with odd
+    id see the phase inverted. *)
 
 val greedy_confusion : pool:int -> unit -> 's t
-(** One-step lookahead attack: for each recipient, pick from a candidate
+(** The one strategy without a flat kernel. One-step lookahead attack: for each recipient, pick from a candidate
     pool (true states of all correct nodes plus [pool] random states) the
     message that, assuming everyone else tells the truth, maximises the
     spread of next-round outputs among correct nodes. The strongest

@@ -36,33 +36,12 @@ type 's outcome = {
   bits_per_round : int;
 }
 
-let validate_faulty ~n ~f faulty =
-  Schedule.validate_faulty ~who:"Engine.run" ~n ~f faulty
-
-(* The per-phase crafting mode of the flat path: a code-level adversary
-   kernel when the strategy ships one, otherwise the boxed bridge
-   (decode the state vector, call the boxed crafter, re-encode). The
-   boxed representation always holds a [Boxed_crafter]. *)
+(* The per-phase crafting mode: the strategy's flat kernel, or — for a
+   strategy without one — the bridge (decode the state vector, call the
+   boxed crafter, re-encode its messages). *)
 type 's crafting =
-  | Flat_kernel of Adversary.flat_crafter
-  | Boxed_crafter of 's Adversary.crafter
-
-(* The two state-vector representations behind [run_schedule]'s single
-   scheduler loop. All phase/event/detector/report logic is shared; only
-   these seven operations differ between the boxed and the flat path, so
-   the differential certification reduces to certifying these closures. *)
-type 's rep = {
-  probe_hook : round:int -> unit;
-  outputs_row : unit -> int array;
-      (** output row of the current states; the flat path reuses one
-          scratch row ({!Online.observe} copies what it keeps) *)
-  trace_hook : round:int -> outputs:int array -> unit;
-  begin_corrupt : unit -> unit;
-      (** called once before a corruption event's victims are struck *)
-  corrupt_node : int -> unit;
-  advance : round:int -> unit;  (** craft + transition + buffer swap *)
-  final_states : unit -> 's array;
-}
+  | Kernel of Adversary.flat_crafter
+  | Bridge of 's Adversary.crafter
 
 (* Span sampling: timing every round would double-read the clock 3x per
    round — 5-15% on the flat hot loop, blowing the observability budget.
@@ -77,6 +56,7 @@ let span_sample_scale = float_of_int (span_sample_mask + 1)
 let run_schedule ?probe ?trace ?(tracer = Trace.null) ?metrics
     ?(spans = Stdx.Span.disabled) ?init ?(mode = Streaming) ?min_suffix
     ?window ~(spec : 's Algo.Spec.t) ~(schedule : 's Schedule.t) ~seed () =
+  let codec = Algo.Spec.codec_exn ~who:"Engine.run_schedule" spec in
   let n = spec.Algo.Spec.n in
   let tr_seams = Trace.seams_on tracer in
   let tr_rounds = Trace.rounds_on tracer in
@@ -91,12 +71,11 @@ let run_schedule ?probe ?trace ?(tracer = Trace.null) ?metrics
   let min_suffix =
     Min_suffix.clamp ~c:spec.Algo.Spec.c ~rounds:total min_suffix
   in
-  (* RNG stream layout extends the historical [run]/[Network.run] layout
-     (init, adversary, per-node) with one corruption stream split {e
-     last}, so a single-phase schedule is byte-for-byte the same
-     execution as the static run of the same seed. Both representations
-     draw from every stream in the same order, which is what makes the
-     flat path bit-identical to the boxed one. *)
+  (* RNG stream layout: init, adversary, one stream per node, and the
+     corruption stream split {e last}, so a single-phase schedule is
+     byte-for-byte the same execution as the static run of the same
+     seed. The reference simulator of the test suite splits the same
+     streams in the same order. *)
   let master = Stdx.Rng.create seed in
   let init_rng = Stdx.Rng.split master in
   let adv_rng = Stdx.Rng.split master in
@@ -106,25 +85,31 @@ let run_schedule ?probe ?trace ?(tracer = Trace.null) ?metrics
   | Some states when Array.length states <> n ->
     invalid_arg "Engine.run_schedule: init has wrong length"
   | _ -> ());
-  (* The flat path requires a codec and is bypassed by the 's-typed
-     [probe]/[trace] hooks, which need real boxed state vectors every
-     round. Structured [tracer]/[metrics] observers are representation-
-     independent and stay on. *)
-  let flat_codec =
-    match (spec.Algo.Spec.codec, probe, trace) with
-    | Some codec, None, None -> Some codec
-    | _ -> None
-  in
-  let flat_env =
-    Option.map
-      (fun c -> { Adversary.n; random_code = c.Algo.Spec.random_code })
-      flat_codec
+  let env = { Adversary.n; random_code = codec.Algo.Spec.random_code } in
+  let num_states = codec.Algo.Spec.num_states in
+  let encode = codec.Algo.Spec.encode_state in
+  let decode = codec.Algo.Spec.decode_state in
+  let cur = ref (Statebuf.create ~num_states n) in
+  let nxt = ref (Statebuf.create ~num_states n) in
+  let kernel = codec.Algo.Spec.fresh_kernel () in
+  let recv = Array.make n 0 in
+  let outs = Array.make n 0 in
+  (match init with
+  | Some states ->
+    Array.iteri (fun v s -> Statebuf.set !cur v (encode s)) states
+  | None ->
+    for v = 0 to n - 1 do
+      Statebuf.set !cur v (encode (spec.Algo.Spec.random_state init_rng))
+    done);
+  let decode_states () =
+    Array.init n (fun v -> decode (Statebuf.get !cur v))
   in
   (* Per-phase fault bookkeeping, refreshed at every phase boundary. *)
   let faulty = ref [||] in
   let correct = ref [] in
+  (* Placeholder until [enter_phase 0] installs the first phase's. *)
   let crafting =
-    ref (Boxed_crafter (phases.(0).Schedule.adversary.Adversary.fresh ()))
+    ref (Bridge (phases.(0).Schedule.adversary.Adversary.fresh ()))
   in
   let flat_phases = ref 0 in
   let bridged_phases = ref 0 in
@@ -139,14 +124,13 @@ let run_schedule ?probe ?trace ?(tracer = Trace.null) ?metrics
     faulty := fa;
     correct := List.filter (fun v -> not is_faulty.(v)) (List.init n Fun.id);
     (crafting :=
-       match (flat_env, p.Schedule.adversary.Adversary.fresh_flat) with
-       | Some env, Some ff ->
+       match p.Schedule.adversary.Adversary.fresh_flat with
+       | Some make ->
          incr flat_phases;
-         Flat_kernel (ff env)
-       | Some _, None ->
+         Kernel (make env)
+       | None ->
          incr bridged_phases;
-         Boxed_crafter (p.Schedule.adversary.Adversary.fresh ())
-       | None, _ -> Boxed_crafter (p.Schedule.adversary.Adversary.fresh ()));
+         Bridge (p.Schedule.adversary.Adversary.fresh ()));
     if tr_seams then
       Trace.emit tracer
         (Trace.Phase_start
@@ -157,199 +141,105 @@ let run_schedule ?probe ?trace ?(tracer = Trace.null) ?metrics
              faulty = Array.to_list fa;
            })
   in
-  (* Sampled span accumulators, shared with the advance closures below.
-     [sample] is recomputed at the top of every round; everything here is
-     wall-clock-only state — it never feeds back into the execution. *)
+  (* Sampled span accumulators. [sample] is recomputed at the top of
+     every round; everything here is wall-clock-only state — it never
+     feeds back into the execution. *)
   let span_on = Stdx.Span.enabled spans in
   let sample = ref false in
   let craft_s = ref 0.0 in
   let step_s = ref 0.0 in
   let detect_s = ref 0.0 in
   let sampled_rounds = ref 0 in
-  let rep =
-    match flat_codec with
-    | None ->
-      let current =
-        ref
-          (match init with
-          | Some states -> Array.copy states
-          | None -> Array.init n (fun _ -> spec.Algo.Spec.random_state init_rng))
-      in
-      {
-        probe_hook =
-          (fun ~round ->
-            match probe with
-            | Some p -> p ~round ~states:!current
-            | None -> ());
-        outputs_row =
-          (fun () ->
-            Array.mapi (fun v s -> spec.Algo.Spec.output ~self:v s) !current);
-        trace_hook =
-          (fun ~round ~outputs ->
-            match trace with
-            | Some tr -> tr ~round ~states:!current ~outputs
-            | None -> ());
-        (* Corrupt a copy: full traces already materialised by a [trace]
-           hook hold the genuine pre-event rows. *)
-        begin_corrupt = (fun () -> current := Array.copy !current);
-        corrupt_node =
-          (fun v -> !current.(v) <- spec.Algo.Spec.random_state corrupt_rng);
-        advance =
-          (fun ~round ->
-            let fa = !faulty in
-            let cur = !current in
-            let c0 = if !sample then Stdx.Span.now spans else 0.0 in
-            let crafted =
-              if Array.length fa = 0 then [||]
-              else
-                match !crafting with
-                | Boxed_crafter c ->
-                  c.Adversary.craft ~spec ~rng:adv_rng ~round ~states:cur
-                    ~faulty:fa
-                | Flat_kernel _ ->
-                  (* [enter_phase] never picks a flat kernel without a
-                     flat codec. *)
-                  assert false
-            in
-            let s0 = if !sample then Stdx.Span.now spans else 0.0 in
-            if !sample then craft_s := !craft_s +. (s0 -. c0);
-            (* Per-recipient view: truth everywhere, overridden on faulty
-               slots. *)
-            let next =
-              Array.init n (fun v ->
-                  let received = Array.copy cur in
-                  Array.iteri
-                    (fun fi sender -> received.(sender) <- crafted.(fi).(v))
-                    fa;
-                  spec.Algo.Spec.transition ~self:v ~rng:node_rng.(v) received)
-            in
-            current := next;
-            if !sample then step_s := !step_s +. (Stdx.Span.now spans -. s0));
-        final_states = (fun () -> !current);
-      }
-    | Some codec ->
-      let num_states = codec.Algo.Spec.num_states in
-      let encode = codec.Algo.Spec.encode_state in
-      let decode = codec.Algo.Spec.decode_state in
-      let cur = ref (Statebuf.create ~num_states n) in
-      let nxt = ref (Statebuf.create ~num_states n) in
-      let kernel = codec.Algo.Spec.fresh_kernel () in
-      let recv = Array.make n 0 in
-      let outs = Array.make n 0 in
-      (* Crafted message codes, [crafted.(fi * n + r)] = code the fi-th
-         faulty node sends recipient r. Sized once for the worst legal
-         faulty set; flat kernels and the bridge both write into it. *)
-      let crafted = Array.make (max 1 (spec.Algo.Spec.f * n)) 0 in
-      (* Recipient visit order. Recipients whose crafted columns are
-         identical are stepped consecutively, so kernels that cache
-         their received-vector scan (e.g. the boost tower) refresh once
-         per distinct column instead of once per node — the difference
-         between hostile and benign throughput. Reordering is sound
-         because every node draws from its own [node_rng] stream. *)
-      let visit = Array.init n Fun.id in
-      (* Boxed mirror of the current states, rebuilt only on rounds where
-         a bridged (no flat kernel) crafter must look at them. *)
-      let mirror = Array.make n (decode 0) in
-      (match init with
-      | Some states ->
-        Array.iteri (fun v s -> Statebuf.set !cur v (encode s)) states
-      | None ->
+  (* Crafted message codes, [crafted.(fi * n + r)] = code the fi-th
+     faulty node sends recipient r. Sized once for the worst legal faulty
+     set; kernels and the bridge both write into it. *)
+  let crafted = Array.make (max 1 (spec.Algo.Spec.f * n)) 0 in
+  (* Recipient visit order. Recipients whose crafted columns are
+     identical are stepped consecutively, so kernels that cache their
+     received-vector scan (e.g. the boost tower) refresh once per
+     distinct column instead of once per node — the difference between
+     hostile and benign throughput. Reordering is sound because every
+     node draws from its own [node_rng] stream. *)
+  let visit = Array.init n Fun.id in
+  (* Boxed states for the bridge, rebuilt only on rounds where a bridged
+     crafter must look at them. *)
+  let mirror = Array.make n (decode 0) in
+  (* Lexicographic order on crafted columns; ties keep index order so the
+     grouping is deterministic. A while-loop, not an inner recursive
+     function — a closure here would allocate on every comparison of the
+     hot loop. *)
+  let col_cmp nf a b =
+    let c = ref 0 in
+    let fi = ref 0 in
+    while !c = 0 && !fi < nf do
+      c := Int.compare crafted.((!fi * n) + a) crafted.((!fi * n) + b);
+      incr fi
+    done;
+    !c
+  in
+  let group_recipients nf =
+    for v = 0 to n - 1 do
+      visit.(v) <- v
+    done;
+    for i = 1 to n - 1 do
+      let x = visit.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && col_cmp nf visit.(!j) x > 0 do
+        visit.(!j + 1) <- visit.(!j);
+        decr j
+      done;
+      visit.(!j + 1) <- x
+    done
+  in
+  (* One round: craft the faulty messages, then step every node on its
+     received vector, double-buffered. *)
+  let advance ~round =
+    let fa = !faulty in
+    let nf = Array.length fa in
+    let c0 = if !sample then Stdx.Span.now spans else 0.0 in
+    if nf > 0 then begin
+      (match !crafting with
+      | Kernel fc ->
+        fc.Adversary.craft_flat ~rng:adv_rng ~round ~states:!cur ~faulty:fa
+          ~out:crafted
+      | Bridge c ->
         for v = 0 to n - 1 do
-          Statebuf.set !cur v (encode (spec.Algo.Spec.random_state init_rng))
+          mirror.(v) <- decode (Statebuf.get !cur v)
+        done;
+        let m =
+          c.Adversary.craft ~spec ~rng:adv_rng ~round ~states:mirror ~faulty:fa
+        in
+        for fi = 0 to nf - 1 do
+          let row = m.(fi) in
+          let base = fi * n in
+          for r = 0 to n - 1 do
+            crafted.(base + r) <- encode row.(r)
+          done
         done);
-      (* Lexicographic order on crafted columns; ties keep index order so
-         the grouping is deterministic. A while-loop, not an inner
-         recursive function — a closure here would allocate on every
-         comparison of the hot loop. *)
-      let col_cmp nf a b =
-        let c = ref 0 in
-        let fi = ref 0 in
-        while !c = 0 && !fi < nf do
-          c := Int.compare crafted.((!fi * n) + a) crafted.((!fi * n) + b);
-          incr fi
-        done;
-        !c
-      in
-      let group_recipients nf =
-        for v = 0 to n - 1 do
-          visit.(v) <- v
-        done;
-        for i = 1 to n - 1 do
-          let x = visit.(i) in
-          let j = ref (i - 1) in
-          while !j >= 0 && col_cmp nf visit.(!j) x > 0 do
-            visit.(!j + 1) <- visit.(!j);
-            decr j
-          done;
-          visit.(!j + 1) <- x
-        done
-      in
-      {
-        probe_hook = (fun ~round:_ -> ());
-        outputs_row =
-          (fun () ->
-            for v = 0 to n - 1 do
-              outs.(v) <- codec.Algo.Spec.output_code ~self:v (Statebuf.get !cur v)
-            done;
-            outs);
-        trace_hook = (fun ~round:_ ~outputs:_ -> ());
-        begin_corrupt = (fun () -> ());
-        corrupt_node =
-          (fun v ->
-            Statebuf.set !cur v
-              (encode (spec.Algo.Spec.random_state corrupt_rng)));
-        advance =
-          (fun ~round ->
-            let fa = !faulty in
-            let nf = Array.length fa in
-            let c0 = if !sample then Stdx.Span.now spans else 0.0 in
-            if nf > 0 then begin
-              (match !crafting with
-              | Flat_kernel fc ->
-                fc.Adversary.craft_flat ~rng:adv_rng ~round ~states:!cur
-                  ~faulty:fa ~out:crafted
-              | Boxed_crafter c ->
-                for v = 0 to n - 1 do
-                  mirror.(v) <- decode (Statebuf.get !cur v)
-                done;
-                let m =
-                  c.Adversary.craft ~spec ~rng:adv_rng ~round ~states:mirror
-                    ~faulty:fa
-                in
-                for fi = 0 to nf - 1 do
-                  let row = m.(fi) in
-                  let base = fi * n in
-                  for r = 0 to n - 1 do
-                    crafted.(base + r) <- encode row.(r)
-                  done
-                done);
-              group_recipients nf
-            end;
-            let s0 = if !sample then Stdx.Span.now spans else 0.0 in
-            if !sample then craft_s := !craft_s +. (s0 -. c0);
-            Statebuf.blit_to !cur recv n;
-            for i = 0 to n - 1 do
-              (* Faulty slots are rewritten for every recipient, so the
-                 shared recv scratch never needs restoring. *)
-              let v = if nf = 0 then i else visit.(i) in
-              for fi = 0 to nf - 1 do
-                recv.(fa.(fi)) <- crafted.((fi * n) + v)
-              done;
-              Statebuf.set !nxt v
-                (kernel.Algo.Spec.step ~self:v ~rng:node_rng.(v) recv)
-            done;
-            let tmp = !cur in
-            cur := !nxt;
-            nxt := tmp;
-            if !sample then step_s := !step_s +. (Stdx.Span.now spans -. s0));
-        final_states =
-          (fun () -> Array.init n (fun v -> decode (Statebuf.get !cur v)));
-      }
+      group_recipients nf
+    end;
+    let s0 = if !sample then Stdx.Span.now spans else 0.0 in
+    if !sample then craft_s := !craft_s +. (s0 -. c0);
+    Statebuf.blit_to !cur recv n;
+    for i = 0 to n - 1 do
+      (* Faulty slots are rewritten for every recipient, so the shared
+         recv scratch never needs restoring. *)
+      let v = if nf = 0 then i else visit.(i) in
+      for fi = 0 to nf - 1 do
+        recv.(fa.(fi)) <- crafted.((fi * n) + v)
+      done;
+      Statebuf.set !nxt v (kernel.Algo.Spec.step ~self:v ~rng:node_rng.(v) recv)
+    done;
+    let tmp = !cur in
+    cur := !nxt;
+    nxt := tmp;
+    if !sample then step_s := !step_s +. (Stdx.Span.now spans -. s0)
   in
   enter_phase 0;
   let detector =
     Online.create ?window ~c:spec.Algo.Spec.c ~correct:!correct ~min_suffix ()
   in
+  let hooked = probe <> None || trace <> None in
   let pending = ref schedule.Schedule.events in
   let reports = ref [] in
   (* Phase entry itself is a perturbation: the phase inherits whatever
@@ -408,14 +298,13 @@ let run_schedule ?probe ?trace ?(tracer = Trace.null) ?metrics
         let avail = Array.length correct_arr in
         let k = min victims avail in
         let hit = ref [] in
-        if k > 0 then begin
-          rep.begin_corrupt ();
-          List.iter
-            (fun i ->
-              hit := correct_arr.(i) :: !hit;
-              rep.corrupt_node correct_arr.(i))
-            (Stdx.Rng.sample_without_replacement corrupt_rng k avail)
-        end;
+        List.iter
+          (fun i ->
+            let v = correct_arr.(i) in
+            hit := v :: !hit;
+            Statebuf.set !cur v
+              (encode (spec.Algo.Spec.random_state corrupt_rng)))
+          (Stdx.Rng.sample_without_replacement corrupt_rng k avail);
         incr corruption_events;
         corrupted_nodes := !corrupted_nodes + k;
         if k < victims then incr clamped_events;
@@ -453,11 +342,18 @@ let run_schedule ?probe ?trace ?(tracer = Trace.null) ?metrics
       pert_count := 1
     done;
     apply_events ();
-    rep.probe_hook ~round:!t;
+    (* The 's-typed hooks share one freshly decoded state vector per
+       round (and may keep it); without hooks nothing is decoded. *)
+    let states = if hooked then decode_states () else [||] in
+    (match probe with Some p -> p ~round:!t ~states | None -> ());
     sample := span_on && !t land span_sample_mask = 0;
     let d0 = if !sample then Stdx.Span.now spans else 0.0 in
-    let outs = rep.outputs_row () in
-    rep.trace_hook ~round:!t ~outputs:outs;
+    for v = 0 to n - 1 do
+      outs.(v) <- codec.Algo.Spec.output_code ~self:v (Statebuf.get !cur v)
+    done;
+    (match trace with
+    | Some tr -> tr ~round:!t ~states ~outputs:(Array.copy outs)
+    | None -> ());
     if tr_rounds then
       Trace.emit tracer (Trace.Round { round = !t; phase = !phase_idx });
     Online.observe detector ~round:!t outs;
@@ -476,7 +372,7 @@ let run_schedule ?probe ?trace ?(tracer = Trace.null) ?metrics
     end
     else if !t >= total then stop := true
     else begin
-      rep.advance ~round:!t;
+      advance ~round:!t;
       incr t
     end
   done;
@@ -498,11 +394,8 @@ let run_schedule ?probe ?trace ?(tracer = Trace.null) ?metrics
   | None -> ()
   | Some m ->
     Stdx.Metrics.incr m "engine.runs";
-    if flat_codec <> None then begin
-      Stdx.Metrics.incr m "engine.flat_runs";
-      Stdx.Metrics.incr ~by:!flat_phases m "engine.flat_craft_phases";
-      Stdx.Metrics.incr ~by:!bridged_phases m "engine.bridged_craft_phases"
-    end;
+    Stdx.Metrics.incr ~by:!flat_phases m "engine.flat_craft_phases";
+    Stdx.Metrics.incr ~by:!bridged_phases m "engine.bridged_craft_phases";
     if span_on then
       Stdx.Metrics.incr ~by:!sampled_rounds m "engine.sampled_rounds";
     Stdx.Metrics.incr ~by:!t m "engine.rounds";
@@ -525,7 +418,7 @@ let run_schedule ?probe ?trace ?(tracer = Trace.null) ?metrics
     rounds_simulated = !t;
     early_exit = !early;
     horizon = total;
-    final_states = rep.final_states ();
+    final_states = decode_states ();
     recent_outputs = Online.recent detector;
     messages_per_round;
     bits_per_round = messages_per_round * spec.Algo.Spec.state_bits;

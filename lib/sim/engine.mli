@@ -7,39 +7,40 @@
     as soon as the clean counting suffix reaches [min_suffix] — typically
     cutting long-horizon sweeps by an order of magnitude.
 
-    {2 Flat fast path}
+    {2 Packed states}
 
-    When the spec carries a {!Algo.Spec.codec} — every built-in family
-    does — the engine keeps the state vector as a packed {!Statebuf.t}
-    (one byte per node for small state spaces, an unboxed int bigarray
-    otherwise) and advances rounds through the codec's kernel: counting
-    passes over int arrays, double-buffered, with no per-node allocation
-    in the steady state.
+    The engine keeps the state vector as a packed {!Statebuf.t} of the
+    spec's {!Algo.Spec.codec} codes (one byte per node for small state
+    spaces, an unboxed int bigarray otherwise) and advances rounds
+    through the codec's kernel: counting passes over int arrays,
+    double-buffered, with no per-node allocation in the steady state. A
+    codec is therefore required: a spec without one is rejected with
+    [Invalid_argument] naming it (towers whose codes would need more
+    than 62 bits can be planned but not simulated).
 
-    Adversaries run flat too: each phase whose strategy ships a
-    {!Adversary.flat_crafter} crafts message {e codes} directly into a
-    preallocated scratch matrix — no boxed mirror, no per-round message
-    matrix, zero decode/encode in the hostile hot loop. Strategies
-    without a flat kernel ([fresh_flat = None]) fall back, per phase, to
-    the boxed crafting bridge (decode the state vector, call the boxed
-    [craft], re-encode), so chaos schedules can mix both freely. On
-    hostile rounds the engine additionally visits recipients grouped by
-    identical crafted columns, which keeps received-vector caches inside
-    counting kernels hot under equivocating adversaries — sound because
-    every node owns its private RNG stream.
+    Adversaries craft message {e codes}: each phase whose strategy ships
+    a {!Adversary.flat_crafter} writes into a preallocated scratch
+    matrix, with no per-round message matrix and no decoding. A strategy
+    without a kernel ([fresh_flat = None], i.e.
+    {!Adversary.greedy_confusion}) goes through the bridge for its phase:
+    decode the state vector, call the boxed [craft], re-encode. On
+    hostile rounds the engine visits recipients grouped by identical
+    crafted columns, which keeps received-vector caches inside counting
+    kernels hot under equivocating adversaries — sound because every
+    node owns its private RNG stream. The [metrics] sink counts
+    [engine.flat_craft_phases] (phases crafted by a kernel) and
+    [engine.bridged_craft_phases] (phases that went through the bridge).
 
-    The flat path is {e bit-identical} to the boxed
-    path — same RNG stream consumption, same verdicts, rounds, phase
-    reports, final states and trace events (certified by the
-    differential suites in [test_chaos.ml] and [test_flat.ml], which
-    also pit flat kernels against their boxed twins and against the
-    forced bridge, {!Adversary.without_flat}). The boxed path remains for
-    specs without a codec and whenever a ['s]-typed [probe]/[trace] hook
-    is passed (those need real state vectors every round); to force it,
-    strip the codec: [{ spec with codec = None }]. The [metrics] sink
-    records per-run flat coverage: [engine.flat_craft_phases] counts
-    phases crafted by a flat kernel, [engine.bridged_craft_phases]
-    phases that went through the bridge.
+    The ['s]-typed [probe]/[trace] hooks see a state vector decoded
+    afresh each round (one decode shared by both hooks, none when
+    neither is attached), so a hook may keep what it is given.
+
+    The semantics is pinned by a deliberately naive reference simulator
+    in the test suite ([test/engine_ref]): full message matrix, boxed
+    states, the spec's [transition], its own boxed copies of the
+    standard strategies, and this module's RNG layout. The differential
+    suite in [test_flat.ml] demands that the states decoded through
+    [trace] equal the reference's round for round.
 
     {2 Verdict equivalence}
 
@@ -178,8 +179,8 @@ val run :
     rounds simulated). Spans are as inert as [tracer]/[metrics]: same
     differential certification, wall-clock values excepted.
 
-    Raises [Invalid_argument] on invalid faulty sets or [init] length,
-    like {!Network.run}. *)
+    Raises [Invalid_argument] on invalid faulty sets, [init] length or a
+    spec without a codec, like {!Network.run}. *)
 
 val run_schedule :
   ?probe:(round:int -> states:'s array -> unit) ->
@@ -216,10 +217,5 @@ val run_schedule :
     schedule is therefore the {e same execution} as the static {!run}
     with the same [(spec, adversary, faulty, rounds, seed)] — identical
     verdict, [rounds_simulated] and final states (enforced by a
-    differential test). Raises [Invalid_argument] on invalid schedules
-    ({!Schedule.validate}) or [init] length. *)
-
-val validate_faulty : n:int -> f:int -> int list -> int array
-(** Shared faulty-set validation (delegates to {!Schedule.validate_faulty}
-    with this module's error prefix): sorted array, or [Invalid_argument]
-    on duplicates, out-of-range ids, or more than [f] members. *)
+    differential test). Raises [Invalid_argument] on a spec without a
+    codec, invalid schedules ({!Schedule.validate}) or [init] length. *)

@@ -40,8 +40,7 @@ val total_rounds : 's t -> int
     [0 .. total_rounds] are observed when executing it in full. *)
 
 val validate_faulty : ?who:string -> n:int -> f:int -> int list -> int array
-(** Shared faulty-set validation (historically [Engine.validate_faulty],
-    which now delegates here): returns the sorted array, or raises
+(** Shared faulty-set validation: returns the sorted array, or raises
     [Invalid_argument] — prefixed with [who] — on duplicates, out-of-range
     ids, or more than [f] members. *)
 

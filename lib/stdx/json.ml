@@ -79,6 +79,11 @@ let parse (s : string) : t =
           pos := !pos + 4;
           go ()
         | _ -> fail "bad escape")
+      | Some c when Char.code c < 0x20 ->
+        (* RFC 8259: control characters must be escaped in strings. *)
+        fail
+          (Printf.sprintf "raw control character 0x%02x in string"
+             (Char.code c))
       | Some c ->
         advance ();
         Buffer.add_char b c;

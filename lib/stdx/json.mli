@@ -26,7 +26,8 @@ exception Parse_error of string
 
 val parse : string -> t
 (** Parse one complete JSON value; trailing content (other than
-    whitespace) is an error. Raises {!Parse_error}. *)
+    whitespace) and raw control characters (below 0x20) inside strings
+    are errors. Raises {!Parse_error}. *)
 
 val parse_result : string -> (t, string) result
 (** {!parse} with the error captured. *)

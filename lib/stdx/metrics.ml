@@ -193,17 +193,6 @@ let merge t snap =
 
 let json_float x = Printf.sprintf "%.17g" x
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_table snap =
   let table = Table.create [ "metric"; "kind"; "value"; "detail" ] in
   List.iter
@@ -227,7 +216,7 @@ let to_json snap =
     List.filter_map
       (fun (name, v) ->
         Option.map
-          (fun s -> Printf.sprintf "\"%s\":%s" (json_escape name) s)
+          (fun s -> Printf.sprintf "\"%s\":%s" (Json.escape name) s)
           (to_s v))
       snap
     |> String.concat ","

@@ -1,12 +1,15 @@
-(* Certification of the flat (packed state vector) engine path.
+(* Certification of the engine against the reference simulator.
 
-   Every test here runs the same execution twice — once with the spec's
-   codec (the flat path) and once with the codec stripped (the boxed
-   per-node path, [{ spec with codec = None }]) — and demands the
-   outcomes be bit-identical: verdicts, rounds simulated, final states,
-   phase reports and structured trace events. Also pins the end_round
-   reporting convention and the surfacing of clamped transient events
-   (the two bugfixes riding along with the flat engine). *)
+   Every differential here runs an execution through Sim.Engine with a
+   [trace] hook, which hands over the state vector decoded afresh each
+   round, and through Engine_ref — a deliberately naive simulator of
+   the paper's Section 2 model with its own boxed adversaries — and
+   demands the two agree round for round: states, outputs, transient
+   corruption victims, and (for static runs) the verdict the offline
+   checker gives on the reference's outputs. Also pins that the hooks
+   are inert, that crafting phases are counted against the kernel or the
+   bridge, the end_round reporting convention and the surfacing of
+   clamped transient events. *)
 
 let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
@@ -21,8 +24,6 @@ let a41 () =
      ~k:4 ~big_f:1 ~big_c:2)
     .Counting.Boost.spec
 
-let boxed (spec : 's Algo.Spec.t) = { spec with Algo.Spec.codec = None }
-
 let parallel_jobs =
   match Sys.getenv_opt "REPRO_JOBS" with
   | Some s -> (
@@ -31,38 +32,62 @@ let parallel_jobs =
     | _ -> 4)
   | None -> 4
 
-(* ------------------------------------------------------------------ *)
-(* Static differential: Engine.run flat vs boxed                        *)
-(* ------------------------------------------------------------------ *)
+let modes = [ Sim.Engine.Streaming; Sim.Engine.Full_horizon ]
 
-let assert_outcomes_equal ~ctx (spec : 's Algo.Spec.t)
-    (flat : 's Sim.Engine.outcome) (bxd : 's Sim.Engine.outcome) =
-  check Alcotest.bool (ctx ^ ": same verdict") true
-    (Sim.Online.equal_verdict flat.Sim.Engine.verdict bxd.Sim.Engine.verdict);
-  check Alcotest.int (ctx ^ ": same rounds_simulated")
-    bxd.Sim.Engine.rounds_simulated flat.Sim.Engine.rounds_simulated;
-  check Alcotest.bool (ctx ^ ": same early_exit") bxd.Sim.Engine.early_exit
-    flat.Sim.Engine.early_exit;
-  check Alcotest.bool (ctx ^ ": same final states") true
-    (Array.for_all2 spec.Algo.Spec.equal_state flat.Sim.Engine.final_states
-       bxd.Sim.Engine.final_states);
-  check Alcotest.bool (ctx ^ ": same recent outputs") true
-    (flat.Sim.Engine.recent_outputs = bxd.Sim.Engine.recent_outputs)
+(* The zoo plus greedy-confusion, the one strategy crafted through the
+   engine's bridge. *)
+let zoo () =
+  Sim.Adversary.greedy_confusion ~pool:8 () :: Sim.Adversary.standard_suite ()
 
-let assert_static_differential ~label ~rounds ?(fault_sets = [ []; [ 0 ] ])
-    ?(seeds = [ 1; 2 ]) (spec : 's Algo.Spec.t) =
-  check Alcotest.bool (label ^ ": spec carries a codec") true
-    (spec.Algo.Spec.codec <> None);
-  let adversaries =
-    Sim.Adversary.greedy_confusion ~pool:8 ()
-    :: Sim.Adversary.standard_suite ()
+(* The same strategy with its kernel hidden from the engine, which then
+   crafts through the bridge: decode, the boxed [fresh] crafter (for a
+   standard strategy, its kernel behind the codec adapter), re-encode.
+   The "bridge" differentials hold that path to the reference too. *)
+let bridged (a : 's Sim.Adversary.t) =
+  { a with Sim.Adversary.fresh_flat = None }
+
+(* A [trace] hook recording every decoded row, and the rows it saw. *)
+let recorder () =
+  let rows = ref [] in
+  let trace ~round ~states ~outputs =
+    rows := (round, states, outputs) :: !rows
   in
+  (trace, fun () -> Array.of_list (List.rev !rows))
+
+(* The engine's traced rows [0 .. rounds_simulated] and its final states
+   equal the reference run's. *)
+let assert_rows_match ~ctx (spec : 's Algo.Spec.t) ~rounds_simulated
+    ~final_states rows (r : 's Engine_ref.run) =
+  check Alcotest.int (ctx ^ ": one traced row per observed round")
+    (rounds_simulated + 1) (Array.length rows);
+  let same_states a b = Array.for_all2 spec.Algo.Spec.equal_state a b in
+  Array.iteri
+    (fun t (round, states, outputs) ->
+      if
+        round <> t
+        || (not (same_states states r.Engine_ref.states.(t)))
+        || outputs <> r.Engine_ref.outputs.(t)
+      then Alcotest.failf "%s: round %d differs from the reference" ctx t)
+    rows;
+  check Alcotest.bool (ctx ^ ": final states") true
+    (same_states final_states r.Engine_ref.states.(rounds_simulated))
+
+(* ------------------------------------------------------------------ *)
+(* Static differential: Engine.run vs the reference                     *)
+(* ------------------------------------------------------------------ *)
+
+let assert_static_differential ?(adapt = Fun.id) ~label ~rounds
+    ?(fault_sets = [ []; [ 0 ] ]) ?(seeds = [ 1; 2 ]) (spec : 's Algo.Spec.t) =
+  let c = spec.Algo.Spec.c in
   List.iter
     (fun adversary ->
       List.iter
         (fun faulty ->
           List.iter
             (fun seed ->
+              let reference =
+                Engine_ref.run ~spec ~adversary ~faulty ~rounds ~seed ()
+              in
               List.iter
                 (fun mode ->
                   let ctx =
@@ -71,15 +96,39 @@ let assert_static_differential ~label ~rounds ?(fault_sets = [ []; [ 0 ] ])
                       (String.concat ";" (List.map string_of_int faulty))
                       seed
                   in
-                  let go sp =
-                    Sim.Engine.run ~mode ~spec:sp ~adversary ~faulty ~rounds
-                      ~seed ()
+                  let trace, rows = recorder () in
+                  let o =
+                    Sim.Engine.run ~trace ~mode ~spec ~adversary ~faulty
+                      ~rounds ~seed ()
                   in
-                  assert_outcomes_equal ~ctx spec (go spec) (go (boxed spec)))
-                [ Sim.Engine.Streaming; Sim.Engine.Full_horizon ])
+                  let rs = o.Sim.Engine.rounds_simulated in
+                  assert_rows_match ~ctx spec ~rounds_simulated:rs
+                    ~final_states:o.Sim.Engine.final_states (rows ())
+                    reference;
+                  (* The verdict is the offline checker's on the
+                     reference outputs the engine observed. *)
+                  let correct =
+                    List.filter
+                      (fun v -> not (List.mem v faulty))
+                      (List.init spec.Algo.Spec.n Fun.id)
+                  in
+                  let offline =
+                    Sim.Stabilise.of_outputs ~c ~correct
+                      ~min_suffix:(Sim.Min_suffix.clamp ~c ~rounds None)
+                      (Array.sub reference.Engine_ref.outputs 0 (rs + 1))
+                  in
+                  check Alcotest.bool (ctx ^ ": verdict") true
+                    (Sim.Online.equal_verdict offline o.Sim.Engine.verdict);
+                  check Alcotest.bool (ctx ^ ": recent outputs") true
+                    (o.Sim.Engine.recent_outputs
+                    = List.map
+                        (fun t -> (t, reference.Engine_ref.outputs.(t)))
+                        (List.init (min 8 (rs + 1)) (fun i ->
+                             rs - min 8 (rs + 1) + 1 + i))))
+                modes)
             seeds)
         fault_sets)
-    adversaries
+    (List.map adapt (zoo ()))
 
 let test_static_differential_leader () =
   assert_static_differential ~label:"follow-leader" ~rounds:120 leader_f1
@@ -92,288 +141,270 @@ let test_static_differential_boost () =
   assert_static_differential ~label:"A(4,1)" ~rounds:150 ~seeds:[ 1 ]
     (a41 ())
 
-(* The derived-codec path (generic kernel over [all_states]) must be
-   just as bit-identical as the hand-written kernels. *)
+(* The derived codec (generic kernel over [all_states]) is held to the
+   reference like the hand-written kernels. *)
 let test_static_differential_derived () =
-  let derived = Algo.Spec.with_derived_codec (boxed leader_f1) in
   assert_static_differential ~label:"derived-codec" ~rounds:120 ~seeds:[ 1 ]
-    derived
+    (Algo.Spec.with_derived_codec leader_f1)
+
+let test_bridge_static_differential_leader () =
+  assert_static_differential ~adapt:bridged ~label:"follow-leader-bridge"
+    ~rounds:120 leader_f1
+
+let test_bridge_static_differential_leader_f2 () =
+  assert_static_differential ~adapt:bridged ~label:"follow-leader-f2-bridge"
+    ~rounds:120 ~fault_sets:[ [ 0 ]; [ 0; 2 ] ] ~seeds:[ 1 ] leader_f2
+
+let test_bridge_static_differential_rand () =
+  assert_static_differential ~adapt:bridged ~label:"rand-counter-bridge"
+    ~rounds:400
+    (Counting.Rand_counter.make ~n:4 ~f:1)
+
+let test_bridge_static_differential_boost () =
+  assert_static_differential ~adapt:bridged ~label:"A(4,1)-bridge" ~rounds:150
+    ~seeds:[ 1 ] (a41 ())
 
 (* ------------------------------------------------------------------ *)
-(* Schedule differential: phase reports and trace events too            *)
+(* Schedule differential: phases and transient events too               *)
 (* ------------------------------------------------------------------ *)
 
-let assert_schedule_differential ~ctx (spec : 's Algo.Spec.t) ~schedule ~seed
-    ~mode =
-  let go sp =
-    let tracer = Sim.Trace.memory ~level:Sim.Trace.Rounds () in
-    let o = Sim.Engine.run_schedule ~tracer ~mode ~spec:sp ~schedule ~seed () in
-    (o, Sim.Trace.events tracer)
+let corruption_events tracer =
+  List.filter_map
+    (function
+      | Sim.Trace.Corruption { round; victims; _ } -> Some (round, victims)
+      | _ -> None)
+    (Sim.Trace.events tracer)
+
+let assert_schedule_differential ~ctx ?min_suffix (spec : 's Algo.Spec.t)
+    ~schedule ~seed ~mode =
+  let tracer = Sim.Trace.memory () in
+  let trace, rows = recorder () in
+  let o =
+    Sim.Engine.run_schedule ~trace ~tracer ?min_suffix ~mode ~spec ~schedule
+      ~seed ()
   in
-  let flat, flat_events = go spec in
-  let bxd, boxed_events = go (boxed spec) in
-  check Alcotest.bool (ctx ^ ": same phase reports") true
-    (flat.Sim.Engine.phases = bxd.Sim.Engine.phases);
-  check Alcotest.bool (ctx ^ ": same verdict") true
-    (Sim.Online.equal_verdict flat.Sim.Engine.verdict bxd.Sim.Engine.verdict);
-  check Alcotest.int (ctx ^ ": same rounds_simulated")
-    bxd.Sim.Engine.rounds_simulated flat.Sim.Engine.rounds_simulated;
-  check Alcotest.bool (ctx ^ ": same early_exit") bxd.Sim.Engine.early_exit
-    flat.Sim.Engine.early_exit;
-  check Alcotest.bool (ctx ^ ": same final states") true
-    (Array.for_all2 spec.Algo.Spec.equal_state flat.Sim.Engine.final_states
-       bxd.Sim.Engine.final_states);
-  check Alcotest.bool (ctx ^ ": same recent outputs") true
-    (flat.Sim.Engine.recent_outputs = bxd.Sim.Engine.recent_outputs);
-  check Alcotest.int
-    (ctx ^ ": same trace length")
-    (List.length boxed_events) (List.length flat_events);
-  List.iteri
-    (fun i (fe, be) ->
-      check Alcotest.bool
-        (Format.asprintf "%s: trace event %d (%a)" ctx i Sim.Trace.pp_event be)
-        true
-        (Sim.Trace.equal_event fe be))
-    (List.combine flat_events boxed_events)
+  let reference = Engine_ref.run_schedule ~spec ~schedule ~seed () in
+  let rs = o.Sim.Engine.rounds_simulated in
+  assert_rows_match ~ctx spec ~rounds_simulated:rs
+    ~final_states:o.Sim.Engine.final_states (rows ()) reference;
+  check
+    Alcotest.(list (pair int (list int)))
+    (ctx ^ ": corruption victims")
+    (List.filter (fun (t, _) -> t <= rs) reference.Engine_ref.corruptions)
+    (corruption_events tracer);
+  o
 
-(* Random chaos schedules: phase changes, transient corruption, both
-   engine modes — the flat path must reproduce the whole event stream. *)
-let test_schedule_differential_random () =
+let random_schedules ~adversaries ~ctx =
   List.iter
     (fun seed ->
       let schedule =
-        Sim.Schedule.random ~spec:leader_f2
-          ~adversaries:(Sim.Adversary.standard_suite ())
-          ~phases:3 ~phase_rounds:50 ~events:2 ~max_victims:2 ~seed ()
+        Sim.Schedule.random ~spec:leader_f2 ~adversaries ~phases:3
+          ~phase_rounds:50 ~events:2 ~max_victims:2 ~seed ()
       in
       List.iter
         (fun mode ->
-          let ctx = Printf.sprintf "random-schedule/seed=%d" seed in
-          assert_schedule_differential ~ctx leader_f2 ~schedule ~seed ~mode)
-        [ Sim.Engine.Streaming; Sim.Engine.Full_horizon ])
+          ignore
+            (assert_schedule_differential
+               ~ctx:(Printf.sprintf "%s/seed=%d" ctx seed)
+               leader_f2 ~schedule ~seed ~mode))
+        modes)
     [ 1; 2; 3 ]
 
+(* Random chaos schedules: phase changes, transient corruption, both
+   engine modes. *)
+let test_schedule_differential_random () =
+  random_schedules ~adversaries:(Sim.Adversary.standard_suite ())
+    ~ctx:"random-schedule"
+
+(* Every phase on the bridge. *)
+let test_bridge_schedule_differential_random () =
+  random_schedules
+    ~adversaries:(List.map bridged (Sim.Adversary.standard_suite ()))
+    ~ctx:"random-schedule-bridge"
+
+let phase adversary faulty duration =
+  { Sim.Schedule.adversary; faulty; duration }
+
 let test_schedule_differential_boost () =
-  let spec = a41 () in
   let schedule =
     {
       Sim.Schedule.phases =
         [
-          { Sim.Schedule.adversary = Sim.Adversary.benign (); faulty = [];
-            duration = 60 };
-          { Sim.Schedule.adversary = Sim.Adversary.split_brain ();
-            faulty = [ 2 ]; duration = 60 };
-          { Sim.Schedule.adversary = Sim.Adversary.stuck (); faulty = [ 0 ];
-            duration = 60 };
+          phase (Sim.Adversary.benign ()) [] 60;
+          phase (Sim.Adversary.split_brain ()) [ 2 ] 60;
+          phase (Sim.Adversary.stuck ()) [ 0 ] 60;
         ];
       events = [ { Sim.Schedule.round = 30; victims = 2 } ];
     }
   in
-  assert_schedule_differential ~ctx:"A(4,1) schedule" spec ~schedule ~seed:5
-    ~mode:Sim.Engine.Full_horizon
+  ignore
+    (assert_schedule_differential ~ctx:"A(4,1) schedule" (a41 ()) ~schedule
+       ~seed:5 ~mode:Sim.Engine.Full_horizon)
 
-(* Whole chaos campaigns — run through the parallel harness at the
-   REPRO_JOBS worker count — aggregate identically on both paths. *)
-let test_chaos_campaign_differential () =
+let test_bridge_schedule_differential_boost () =
+  let schedule =
+    {
+      Sim.Schedule.phases =
+        [
+          phase (bridged (Sim.Adversary.split_brain ())) [ 2 ] 60;
+          phase (bridged (Sim.Adversary.random_equivocate ())) [ 0 ] 60;
+          phase (Sim.Adversary.greedy_confusion ~pool:8 ()) [ 1 ] 40;
+        ];
+      events = [ { Sim.Schedule.round = 30; victims = 2 } ];
+    }
+  in
+  ignore
+    (assert_schedule_differential ~ctx:"A(4,1) schedule-bridge" (a41 ())
+       ~schedule ~seed:5 ~mode:Sim.Engine.Full_horizon)
+
+(* Whole chaos campaigns through the parallel harness at the REPRO_JOBS
+   worker count, under every claiming policy (or the one REPRO_SCHEDULE
+   pins): each cell's outcome is the engine's on the cell's schedule,
+   and that execution matches the reference. *)
+let campaign_differential ~label adversaries =
   let config =
     Sim.Harness.Chaos.Config.(
       default |> with_campaigns 2 |> with_phases 2 |> with_phase_rounds 60
       |> with_events 1 |> with_seeds [ 1; 2 ] |> with_jobs parallel_jobs)
   in
-  let go sp =
-    Sim.Harness.Chaos.run ~config ~spec:sp
-      ~adversaries:(Sim.Adversary.standard_suite ())
-      ()
+  let c = leader_f2.Algo.Spec.c in
+  List.iter
+    (fun policy ->
+      let config =
+        match policy with
+        | None -> config
+        | Some s -> Sim.Harness.Chaos.Config.with_schedule s config
+      in
+      let agg = Sim.Harness.Chaos.run ~config ~spec:leader_f2 ~adversaries () in
+      check Alcotest.int (label ^ ": cells") 4
+        (List.length agg.Sim.Harness.Chaos.outcomes);
+      List.iter
+        (fun (co : Sim.Harness.Chaos.outcome) ->
+          let ctx =
+            Printf.sprintf "%s/%s/jobs=%d/campaign=%d/seed=%d" label
+              (Test_sim.schedule_label policy)
+              parallel_jobs co.Sim.Harness.Chaos.schedule_seed
+              co.Sim.Harness.Chaos.run_seed
+          in
+          let schedule =
+            Sim.Schedule.random ~spec:leader_f2 ~adversaries ~phases:2
+              ~phase_rounds:60 ~events:1
+              ~max_victims:config.Sim.Harness.Chaos.Config.max_victims
+              ~event_margin:(Sim.Min_suffix.default ~c)
+              ~seed:co.Sim.Harness.Chaos.schedule_seed ()
+          in
+          check Alcotest.string (ctx ^ ": schedule")
+            co.Sim.Harness.Chaos.schedule
+            (Sim.Schedule.describe schedule);
+          let min_suffix =
+            Sim.Min_suffix.resolve ~c
+              ~rounds:(Sim.Schedule.total_rounds schedule)
+              None
+          in
+          let o =
+            assert_schedule_differential ~ctx ~min_suffix leader_f2 ~schedule
+              ~seed:co.Sim.Harness.Chaos.run_seed
+              ~mode:config.Sim.Harness.Chaos.Config.mode
+          in
+          check Alcotest.bool (ctx ^ ": phase reports") true
+            (o.Sim.Engine.phases = co.Sim.Harness.Chaos.phases);
+          check Alcotest.int (ctx ^ ": rounds simulated")
+            co.Sim.Harness.Chaos.rounds_simulated o.Sim.Engine.rounds_simulated)
+        agg.Sim.Harness.Chaos.outcomes)
+    Test_sim.parallel_schedules
+
+let test_chaos_campaign_differential () =
+  campaign_differential ~label:"suite" (Sim.Adversary.standard_suite ())
+
+let test_bridge_chaos_campaign_differential () =
+  campaign_differential ~label:"bridge"
+    (List.map bridged (Sim.Adversary.standard_suite ()))
+
+(* ------------------------------------------------------------------ *)
+(* Hooks, crafting paths, codec requirement                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Attaching [probe] and [trace] decodes states for them and changes
+   nothing else: outcome, phase reports and the structured event stream
+   equal the bare run's. *)
+let test_hooks_inert () =
+  let spec = a41 () in
+  let schedule =
+    {
+      Sim.Schedule.phases =
+        [
+          phase (Sim.Adversary.split_brain ()) [ 1 ] 50;
+          phase (Sim.Adversary.greedy_confusion ~pool:4 ()) [ 0 ] 50;
+          phase (Sim.Adversary.benign ()) [] 200;
+        ];
+      events = [ { Sim.Schedule.round = 70; victims = 2 } ];
+    }
   in
-  check Alcotest.bool
-    (Printf.sprintf "flat and boxed campaigns agree at jobs=%d" parallel_jobs)
-    true
-    (go leader_f2 = go (boxed leader_f2))
-
-(* ------------------------------------------------------------------ *)
-(* Bridge differential: flat adversary kernels vs forced boxed crafting *)
-(* ------------------------------------------------------------------ *)
-
-(* The RNG stream contract: an adversary's flat kernel must consume its
-   phase rng draw-for-draw like its boxed crafter, so stripping the
-   kernel ([Adversary.without_flat] — crafting drops to the per-phase
-   decode/craft/re-encode bridge) changes nothing observable. Every
-   test in this section runs the flat engine twice, kernel vs bridge,
-   and demands bit-identical outcomes. *)
+  List.iter
+    (fun mode ->
+      let go ~hooked =
+        let tracer = Sim.Trace.memory ~level:Sim.Trace.Rounds () in
+        let probes = ref 0 in
+        let probe ~round:_ ~states:_ = incr probes in
+        let trace, rows = recorder () in
+        let o =
+          if hooked then
+            Sim.Engine.run_schedule ~probe ~trace ~tracer ~mode ~spec ~schedule
+              ~seed:3 ()
+          else Sim.Engine.run_schedule ~tracer ~mode ~spec ~schedule ~seed:3 ()
+        in
+        if hooked then begin
+          check Alcotest.int "probe sees every observed round"
+            (o.Sim.Engine.rounds_simulated + 1) !probes;
+          check Alcotest.int "trace sees every observed round"
+            (o.Sim.Engine.rounds_simulated + 1) (Array.length (rows ()))
+        end;
+        (o, Sim.Trace.events tracer)
+      in
+      let bare, bare_events = go ~hooked:false in
+      let hooked, hooked_events = go ~hooked:true in
+      check Alcotest.bool "same phase reports" true
+        (bare.Sim.Engine.phases = hooked.Sim.Engine.phases);
+      check Alcotest.bool "same verdict" true
+        (Sim.Online.equal_verdict bare.Sim.Engine.verdict
+           hooked.Sim.Engine.verdict);
+      check Alcotest.int "same rounds_simulated" bare.Sim.Engine.rounds_simulated
+        hooked.Sim.Engine.rounds_simulated;
+      check Alcotest.bool "same early_exit" bare.Sim.Engine.early_exit
+        hooked.Sim.Engine.early_exit;
+      check Alcotest.bool "same final states" true
+        (Array.for_all2 spec.Algo.Spec.equal_state bare.Sim.Engine.final_states
+           hooked.Sim.Engine.final_states);
+      check Alcotest.bool "same recent outputs" true
+        (bare.Sim.Engine.recent_outputs = hooked.Sim.Engine.recent_outputs);
+      check Alcotest.int "same event count" (List.length bare_events)
+        (List.length hooked_events);
+      check Alcotest.bool "same events" true
+        (List.for_all2 Sim.Trace.equal_event bare_events hooked_events))
+    modes
 
 let test_zoo_flat_coverage () =
   List.iter
     (fun a ->
       check Alcotest.bool
         (Sim.Adversary.name a ^ ": ships a flat kernel")
-        true (Sim.Adversary.has_flat a);
-      check Alcotest.bool
-        (Sim.Adversary.name a ^ ": without_flat strips it")
-        false
-        (Sim.Adversary.has_flat (Sim.Adversary.without_flat a)))
+        true
+        (a.Sim.Adversary.fresh_flat <> None))
     (Sim.Adversary.standard_suite ());
   (* One-step lookahead over boxed states is intrinsically boxed: the
-     zoo's only always-bridged member. *)
-  check Alcotest.bool "greedy-confusion has no flat kernel" false
-    (Sim.Adversary.has_flat (Sim.Adversary.greedy_confusion ~pool:8 ()))
-
-let assert_bridge_static_differential ~label ~rounds
-    ?(fault_sets = [ []; [ 0 ] ]) ?(seeds = [ 1; 2 ]) (spec : 's Algo.Spec.t) =
-  check Alcotest.bool (label ^ ": spec carries a codec") true
-    (spec.Algo.Spec.codec <> None);
-  let adversaries =
-    Sim.Adversary.greedy_confusion ~pool:8 ()
-    :: Sim.Adversary.standard_suite ()
-  in
-  List.iter
-    (fun adversary ->
-      List.iter
-        (fun faulty ->
-          List.iter
-            (fun seed ->
-              List.iter
-                (fun mode ->
-                  let ctx =
-                    Printf.sprintf "%s-bridge/%s/faulty=[%s]/seed=%d" label
-                      (Sim.Adversary.name adversary)
-                      (String.concat ";" (List.map string_of_int faulty))
-                      seed
-                  in
-                  let go adv =
-                    Sim.Engine.run ~mode ~spec ~adversary:adv ~faulty ~rounds
-                      ~seed ()
-                  in
-                  assert_outcomes_equal ~ctx spec (go adversary)
-                    (go (Sim.Adversary.without_flat adversary)))
-                [ Sim.Engine.Streaming; Sim.Engine.Full_horizon ])
-            seeds)
-        fault_sets)
-    adversaries
-
-let test_bridge_static_differential_leader () =
-  assert_bridge_static_differential ~label:"follow-leader" ~rounds:120
-    leader_f1
-
-let test_bridge_static_differential_leader_f2 () =
-  assert_bridge_static_differential ~label:"follow-leader-f2" ~rounds:120
-    ~fault_sets:[ [ 0 ]; [ 0; 2 ] ] ~seeds:[ 1 ] leader_f2
-
-let test_bridge_static_differential_rand () =
-  assert_bridge_static_differential ~label:"rand-counter" ~rounds:400
-    (Counting.Rand_counter.make ~n:4 ~f:1)
-
-let test_bridge_static_differential_boost () =
-  assert_bridge_static_differential ~label:"A(4,1)" ~rounds:150 ~seeds:[ 1 ]
-    (a41 ())
-
-(* Same execution, crafting forced onto the bridge in every phase. *)
-let without_flat_schedule (s : _ Sim.Schedule.t) =
-  {
-    s with
-    Sim.Schedule.phases =
-      List.map
-        (fun (p : _ Sim.Schedule.phase) ->
-          {
-            p with
-            Sim.Schedule.adversary =
-              Sim.Adversary.without_flat p.Sim.Schedule.adversary;
-          })
-        s.Sim.Schedule.phases;
-  }
-
-let assert_bridge_schedule_differential ~ctx (spec : 's Algo.Spec.t) ~schedule
-    ~seed ~mode =
-  let go schedule =
-    let tracer = Sim.Trace.memory ~level:Sim.Trace.Rounds () in
-    let o = Sim.Engine.run_schedule ~tracer ~mode ~spec ~schedule ~seed () in
-    (o, Sim.Trace.events tracer)
-  in
-  let flat, flat_events = go schedule in
-  let bridged, bridged_events = go (without_flat_schedule schedule) in
-  check Alcotest.bool (ctx ^ ": same phase reports") true
-    (flat.Sim.Engine.phases = bridged.Sim.Engine.phases);
-  check Alcotest.bool (ctx ^ ": same verdict") true
-    (Sim.Online.equal_verdict flat.Sim.Engine.verdict
-       bridged.Sim.Engine.verdict);
-  check Alcotest.int (ctx ^ ": same rounds_simulated")
-    bridged.Sim.Engine.rounds_simulated flat.Sim.Engine.rounds_simulated;
-  check Alcotest.bool (ctx ^ ": same early_exit")
-    bridged.Sim.Engine.early_exit flat.Sim.Engine.early_exit;
-  check Alcotest.bool (ctx ^ ": same final states") true
-    (Array.for_all2 spec.Algo.Spec.equal_state flat.Sim.Engine.final_states
-       bridged.Sim.Engine.final_states);
-  check Alcotest.bool (ctx ^ ": same recent outputs") true
-    (flat.Sim.Engine.recent_outputs = bridged.Sim.Engine.recent_outputs);
-  check Alcotest.int
-    (ctx ^ ": same trace length")
-    (List.length bridged_events) (List.length flat_events);
-  List.iteri
-    (fun i (fe, be) ->
-      check Alcotest.bool
-        (Format.asprintf "%s: trace event %d (%a)" ctx i Sim.Trace.pp_event be)
-        true
-        (Sim.Trace.equal_event fe be))
-    (List.combine flat_events bridged_events)
-
-let test_bridge_schedule_differential_random () =
-  List.iter
-    (fun seed ->
-      let schedule =
-        Sim.Schedule.random ~spec:leader_f2
-          ~adversaries:(Sim.Adversary.standard_suite ())
-          ~phases:3 ~phase_rounds:50 ~events:2 ~max_victims:2 ~seed ()
-      in
-      List.iter
-        (fun mode ->
-          let ctx = Printf.sprintf "random-schedule-bridge/seed=%d" seed in
-          assert_bridge_schedule_differential ~ctx leader_f2 ~schedule ~seed
-            ~mode)
-        [ Sim.Engine.Streaming; Sim.Engine.Full_horizon ])
-    [ 1; 2; 3 ]
-
-let test_bridge_schedule_differential_boost () =
-  let spec = a41 () in
-  let schedule =
-    {
-      Sim.Schedule.phases =
-        [
-          { Sim.Schedule.adversary = Sim.Adversary.split_brain ();
-            faulty = [ 2 ]; duration = 60 };
-          { Sim.Schedule.adversary = Sim.Adversary.random_equivocate ();
-            faulty = [ 0 ]; duration = 60 };
-        ];
-      events = [ { Sim.Schedule.round = 30; victims = 2 } ];
-    }
-  in
-  assert_bridge_schedule_differential ~ctx:"A(4,1) schedule-bridge" spec
-    ~schedule ~seed:5 ~mode:Sim.Engine.Full_horizon
-
-(* Whole chaos campaigns through the parallel harness: the kernel and
-   the bridge aggregate identically at the REPRO_JOBS worker count. *)
-let test_bridge_chaos_campaign_differential () =
-  let config =
-    Sim.Harness.Chaos.Config.(
-      default |> with_campaigns 2 |> with_phases 2 |> with_phase_rounds 60
-      |> with_events 1 |> with_seeds [ 1; 2 ] |> with_jobs parallel_jobs)
-  in
-  let go adversaries =
-    Sim.Harness.Chaos.run ~config ~spec:leader_f2 ~adversaries ()
-  in
-  let suite = Sim.Adversary.standard_suite () in
-  check Alcotest.bool
-    (Printf.sprintf "kernel and bridged campaigns agree at jobs=%d"
-       parallel_jobs)
-    true
-    (go suite = go (List.map Sim.Adversary.without_flat suite))
+     zoo's only bridged member. *)
+  check Alcotest.bool "greedy-confusion has no flat kernel" true
+    ((Sim.Adversary.greedy_confusion ~pool:8 ()).Sim.Adversary.fresh_flat
+    = None)
 
 (* The engine's coverage counters: a crafting phase is counted against
-   exactly one of the two paths, and stripping the kernel moves it. *)
+   exactly one of the kernel and the bridge. *)
 let test_craft_phase_counters () =
-  let phases adversary =
+  let phases schedule =
     let metrics = Stdx.Metrics.create () in
     ignore
-      (Sim.Engine.run ~metrics ~mode:Sim.Engine.Full_horizon ~spec:leader_f1
-         ~adversary ~faulty:[ 0 ] ~rounds:40 ~seed:1 ());
+      (Sim.Engine.run_schedule ~metrics ~mode:Sim.Engine.Full_horizon
+         ~spec:leader_f1 ~schedule ~seed:1 ());
     let counter name =
       match Stdx.Metrics.find (Stdx.Metrics.snapshot metrics) name with
       | Some (Stdx.Metrics.Counter c) -> c
@@ -381,18 +412,54 @@ let test_craft_phase_counters () =
     in
     (counter "engine.flat_craft_phases", counter "engine.bridged_craft_phases")
   in
-  check
-    (Alcotest.pair Alcotest.int Alcotest.int)
-    "flat kernel phase counted as flat" (1, 0)
-    (phases (Sim.Adversary.split_brain ()));
-  check
-    (Alcotest.pair Alcotest.int Alcotest.int)
-    "stripped kernel phase counted as bridged" (0, 1)
-    (phases (Sim.Adversary.without_flat (Sim.Adversary.split_brain ())));
-  check
-    (Alcotest.pair Alcotest.int Alcotest.int)
-    "intrinsically boxed adversary rides the bridge" (0, 1)
-    (phases (Sim.Adversary.greedy_confusion ~pool:8 ()))
+  let static adversary =
+    { Sim.Schedule.phases = [ phase adversary [ 0 ] 40 ]; events = [] }
+  in
+  let pair = Alcotest.pair Alcotest.int Alcotest.int in
+  check pair "flat kernel phase counted as flat" (1, 0)
+    (phases (static (Sim.Adversary.split_brain ())));
+  check pair "hidden kernel phase counted as bridged" (0, 1)
+    (phases (static (bridged (Sim.Adversary.split_brain ()))));
+  check pair "intrinsically boxed adversary rides the bridge" (0, 1)
+    (phases (static (Sim.Adversary.greedy_confusion ~pool:8 ())));
+  check pair "one phase of each" (1, 1)
+    (phases
+       {
+         Sim.Schedule.phases =
+           [
+             phase (Sim.Adversary.split_brain ()) [ 0 ] 20;
+             phase (Sim.Adversary.greedy_confusion ~pool:8 ()) [ 1 ] 20;
+           ];
+         events = [];
+       })
+
+(* Simulation needs packed state codes: a spec without a codec is
+   rejected at entry, by name. *)
+let test_codec_required () =
+  let spec = { leader_f1 with Algo.Spec.codec = None } in
+  let message f =
+    match f () with
+    | exception Invalid_argument m -> m
+    | _ -> Alcotest.fail "codec-less spec was simulated"
+  in
+  List.iter
+    (fun (label, f) ->
+      check Alcotest.bool
+        (label ^ ": error names the spec")
+        true
+        (Astring.String.is_infix ~affix:spec.Algo.Spec.name (message f)))
+    [
+      ( "Engine.run",
+        fun () ->
+          ignore
+            (Sim.Engine.run ~spec ~adversary:(Sim.Adversary.benign ())
+               ~faulty:[] ~rounds:10 ~seed:1 ()) );
+      ( "Network.run",
+        fun () ->
+          ignore
+            (Sim.Network.run ~spec ~adversary:(Sim.Adversary.benign ())
+               ~faulty:[] ~rounds:10 ~seed:1 ()) );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* end_round convention (regression: final phase was reported one past   *)
@@ -586,6 +653,8 @@ let suite =
           test_bridge_chaos_campaign_differential;
         case "craft phase counters split flat vs bridged"
           test_craft_phase_counters;
+        case "decoded hooks are inert" test_hooks_inert;
+        case "spec without a codec is rejected" test_codec_required;
       ] );
     ( "sim.engine.end_round",
       [

@@ -193,6 +193,26 @@ let test_heartbeat_rejects_bad_interval () =
   rejects "non-finite interval" (fun () ->
       ignore (with_heartbeat ~interval_s:Float.nan (fun _ -> ())))
 
+(* A label with control bytes is escaped, so every line parses with a
+   strict parser and gives the label back. *)
+let test_heartbeat_escapes_control_bytes () =
+  let label = "a\tb\001" in
+  let lines =
+    with_heartbeat ~label ~interval_s:1000.0 (fun hb ->
+        Stdx.Heartbeat.hit hb label;
+        Stdx.Heartbeat.finish hb)
+  in
+  List.iter
+    (fun line ->
+      check Alcotest.bool "no raw control byte" true
+        (String.for_all (fun c -> Char.code c >= 0x20) line);
+      let j = Stdx.Json.parse line in
+      check Alcotest.string "label round-trips" label
+        (Stdx.Json.to_string "label" (Stdx.Json.field j "label"));
+      check Alcotest.int "hit class round-trips" 1
+        (Stdx.Json.to_int "hits" (Stdx.Json.field (Stdx.Json.field j "hits") label)))
+    lines
+
 let test_heartbeat_terminal_line_schema () =
   let clock, set = mock_clock 0.0 in
   let lines =
@@ -564,6 +584,7 @@ let suite =
       [
         case "rejects bad intervals" test_heartbeat_rejects_bad_interval;
         case "terminal line schema" test_heartbeat_terminal_line_schema;
+        case "control bytes escaped" test_heartbeat_escapes_control_bytes;
         case "interval gating and finish idempotence"
           test_heartbeat_interval_gating;
         case "floats round-trip exactly (%.17g)"

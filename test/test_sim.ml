@@ -679,6 +679,7 @@ let periodic_spec : int Algo.Spec.t =
     output = (fun ~self:_ s -> s);
     codec = None;
   }
+  |> Algo.Spec.with_derived_codec
 
 let test_sweep_rejects_shorter_period () =
   (* The trap really is armed: the trace has a clean suffix of 7 rounds,

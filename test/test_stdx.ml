@@ -606,6 +606,29 @@ let test_table_cells () =
   check Alcotest.string "float cell" "3.14" (Stdx.Table.cell_float 3.14159);
   check Alcotest.string "bool cell" "yes" (Stdx.Table.cell_bool true)
 
+(* ------------------------------------------------------------------ *)
+(* Json                                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* RFC 8259 forbids raw control characters inside strings; the parser
+   rejects them at their byte, and accepts them escaped. *)
+let test_json_rejects_raw_control () =
+  List.iter
+    (fun (label, text, byte) ->
+      match Stdx.Json.parse text with
+      | exception Stdx.Json.Parse_error msg ->
+        check Alcotest.string (label ^ ": located error")
+          (Printf.sprintf "byte %d:" byte)
+          (String.sub msg 0 (String.length (Printf.sprintf "byte %d:" byte)))
+      | _ -> Alcotest.failf "%s: raw control character accepted" label)
+    [
+      ("tab", "\"a\tb\"", 2);
+      ("newline in a key", "{\"k\n\":1}", 3);
+      ("0x01", "[\"\001\"]", 2);
+    ];
+  check Alcotest.bool "escaped forms parse" true
+    (Stdx.Json.parse {|"a\tb\u0001"|} = Stdx.Json.String "a\tb\001")
+
 let suite =
   [
     ( "stdx.rng",
@@ -668,6 +691,9 @@ let suite =
         case "auto-tuned chunk size" test_pool_auto_chunk;
         case "aliases carry the schedule" test_pool_aliases_carry_schedule;
       ] );
+    ( "stdx.json",
+      [ case "raw control characters rejected" test_json_rejects_raw_control ]
+    );
     ( "stdx.table",
       [
         case "renders" test_table_renders;

@@ -172,6 +172,19 @@ let test_metrics_json () =
      Astring.String.is_infix ~affix:"a" s
      && Astring.String.is_infix ~affix:"histogram" s)
 
+(* A metric name with control bytes is escaped: the JSON has no raw
+   control byte and parses back to the same name. *)
+let test_metrics_json_escapes_control_bytes () =
+  let name = "a\tb\001" in
+  let m = Stdx.Metrics.create () in
+  Stdx.Metrics.incr ~by:3 m name;
+  let json = Stdx.Metrics.to_json (Stdx.Metrics.snapshot m) in
+  check Alcotest.bool "no raw control byte" true
+    (String.for_all (fun c -> Char.code c >= 0x20) json);
+  let counters = Stdx.Json.field (Stdx.Json.parse json) "counters" in
+  check Alcotest.int "name round-trips" 3
+    (Stdx.Json.to_int name (Stdx.Json.field counters name))
+
 (* ------------------------------------------------------------------ *)
 (* Sim.Trace                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -621,6 +634,8 @@ let suite =
         case "merge is deterministic and additive" test_merge_determinism;
         case "timed records even on raise" test_timed;
         case "json and table rendering" test_metrics_json;
+        case "json escapes control bytes"
+          test_metrics_json_escapes_control_bytes;
       ] );
     ( "sim.trace",
       [
