@@ -10,9 +10,12 @@
 
    Headlines: benign throughput on A(12,3), and hostile throughput on
    A(12,3) under the split-brain equivocator — the flat adversary-kernel
-   hot loop. The greedy-confusion rows show what the bridge costs: that
-   strategy has no flat kernel, so every crafted round decodes the
-   states, crafts boxed messages and re-encodes them.
+   hot loop. The greedy-confusion rows measure the bridge around a
+   code-space lookahead: that strategy has no flat kernel, so every
+   crafted round decodes the states and re-encodes the boxed messages,
+   while the lookahead in between probes recipients through a codec
+   kernel. Its reference rows run the reference's own boxed lookahead
+   (an [Array.copy] and a boxed [transition] per probe).
 
    Results land in BENCH_engine.json. *)
 

@@ -117,7 +117,8 @@ dune exec bench/main.exe -- chaos > /dev/null
 
 # Regenerate the engine throughput record (the engine against the
 # naive reference simulator, plus GC accounting; the greedy-confusion
-# rows show the bridge's cost); the bench itself exits non-zero if the
+# rows measure the bridge around a code-space lookahead, against the
+# reference's boxed one); the bench itself exits non-zero if the
 # engine's outcome ever differs from the reference's.
 dune exec bench/main.exe -- engine > /dev/null
 

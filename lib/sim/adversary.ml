@@ -29,24 +29,13 @@ type 's t = {
 
 let name t = t.name
 
-let is_faulty faulty v = Array.exists (fun u -> u = v) faulty
-
-let correct_ids n faulty =
-  Array.of_list
-    (List.filter (fun v -> not (is_faulty faulty v)) (List.init n (fun i -> i)))
-
-(* Build the message matrix by calling [msg ~fi ~sender ~recipient]. *)
-let matrix ~n ~faulty msg =
-  Array.mapi (fun fi sender -> Array.init n (fun r -> msg ~fi ~sender ~recipient:r)) faulty
-
 (* --- flat-kernel plumbing ------------------------------------------- *)
 
-(* Allocation-free membership test for the small faulty arrays. *)
+(* Allocation-free membership test: [x] among [a.(0 .. len-1)]. *)
 (* A while-loop, not an inner recursive function — a closure here would
    allocate on every call, and [fill_correct] probes every node id each
    crafted round. *)
-let mem_int (a : int array) x =
-  let len = Array.length a in
+let mem_prefix (a : int array) len x =
   let i = ref 0 in
   while !i < len && a.(!i) <> x do
     incr i
@@ -58,12 +47,12 @@ let fill_row (out : int array) ~base ~n code =
     out.(base + r) <- code
   done
 
-(* Correct ids in ascending order into [dst]; returns the count. Matches
-   [correct_ids] without allocating. *)
+(* Correct ids in ascending order into [dst]; returns the count. *)
 let fill_correct (dst : int array) ~n ~faulty =
+  let nf = Array.length faulty in
   let k = ref 0 in
   for v = 0 to n - 1 do
-    if not (mem_int faulty v) then begin
+    if not (mem_prefix faulty nf v) then begin
       dst.(!k) <- v;
       incr k
     end
@@ -297,70 +286,122 @@ let flip_flop () =
             done);
       })
 
-(* Spread of a multiset of outputs: number of distinct values. *)
-let distinct_count compare values =
-  let sorted = List.sort_uniq compare values in
-  List.length sorted
+(* Scratch of the code-space lookahead, made on a crafter's first craft,
+   when the codec and the node count are known. *)
+type 's lookahead = {
+  codec : 's Algo.Spec.codec;
+  kernel : Algo.Spec.kernel;
+  codes : int array;  (* the current states, encoded once per round *)
+  recv : int array;
+      (* [codes] with at most the probed sender's slot rewritten: probes
+         differ by one slot, which kernel caches patch cheaply *)
+  ids : int array;  (* correct ids, ascending *)
+  baseline : int array;  (* truthful next outputs of [ids], in order *)
+  pool_codes : int array;  (* this round's random candidates *)
+}
+
+let lookahead_create (spec : 's Algo.Spec.t) ~pool ~n =
+  let codec = Algo.Spec.codec_exn ~who:"Adversary.greedy_confusion" spec in
+  {
+    codec;
+    kernel = codec.Algo.Spec.fresh_kernel ();
+    codes = Array.make n 0;
+    recv = Array.make n 0;
+    ids = Array.make n 0;
+    baseline = Array.make n 0;
+    pool_codes = Array.make pool 0;
+  }
 
 let greedy_confusion ~pool () =
+  if pool < 0 then invalid_arg "Adversary.greedy_confusion: negative pool";
   {
     name = Printf.sprintf "greedy-confusion(%d)" pool;
     benign = false;
-    (* One-step lookahead simulates recipients' transitions on boxed
-       states and splits probe rngs — intrinsically boxed; the engine
-       bridges it (decode, craft, re-encode). *)
+    (* The lookahead runs in code space, but the strategy keeps the
+       boxed face: the engine bridges it (decode, craft, re-encode). *)
     fresh_flat = None;
     fresh =
       (fun () ->
+        let scratch = ref None in
         {
           craft =
             (fun ~spec ~rng ~round:_ ~states ~faulty ->
+              let la =
+                match !scratch with
+                | Some la -> la
+                | None ->
+                  let la =
+                    lookahead_create spec ~pool ~n:(Array.length states)
+                  in
+                  scratch := Some la;
+                  la
+              in
+              let codec = la.codec in
+              let step = la.kernel.Algo.Spec.step in
+              let codes = la.codes and recv = la.recv and ids = la.ids in
+              let baseline = la.baseline and pool_codes = la.pool_codes in
               let n = Array.length states in
-              let correct = correct_ids n faulty in
-              let candidates =
-                Array.append
-                  (Array.map (fun v -> states.(v)) correct)
-                  (Array.init pool (fun _ -> spec.Algo.Spec.random_state rng))
+              for v = 0 to n - 1 do
+                let c = codec.Algo.Spec.encode_state states.(v) in
+                codes.(v) <- c;
+                recv.(v) <- c
+              done;
+              let nc = fill_correct ids ~n ~faulty in
+              (* Candidates, by index: the correct nodes' states, then the
+                 pool, drawn in order. *)
+              for p = 0 to pool - 1 do
+                pool_codes.(p) <- codec.Algo.Spec.random_code rng
+              done;
+              let num_cands = nc + pool in
+              (* Every probe (baseline or candidate) steps on its own
+                 split of the adversary stream. *)
+              for i = 0 to nc - 1 do
+                let r = ids.(i) in
+                let next = step ~self:r ~rng:(Stdx.Rng.split rng) recv in
+                baseline.(i) <- codec.Algo.Spec.output_code ~self:r next
+              done;
+              (* The first candidate whose probed output lies outside the
+                 baseline, or candidate 0 when none does. *)
+              let winner ~sender ~recipient =
+                let best = ref (-1) in
+                let j = ref 0 in
+                while !best < 0 && !j < num_cands do
+                  recv.(sender) <-
+                    (if !j < nc then codes.(ids.(!j)) else pool_codes.(!j - nc));
+                  let next =
+                    step ~self:recipient ~rng:(Stdx.Rng.split rng) recv
+                  in
+                  if
+                    not
+                      (mem_prefix baseline nc
+                         (codec.Algo.Spec.output_code ~self:recipient next))
+                  then best := !j;
+                  incr j
+                done;
+                (* Early exit: advance the stream past the candidates left
+                   unprobed, one split's draw each. *)
+                for _ = !j to num_cands - 1 do
+                  ignore (Stdx.Rng.next_int64 rng)
+                done;
+                max !best 0
               in
-              (* For each recipient, simulate its transition assuming every
-                 other sender is truthful and score each candidate by how
-                 far the recipient's next output drifts from the current
-                 majority next-output. *)
-              let truthful_next r =
-                let received = Array.copy states in
-                let probe_rng = Stdx.Rng.split rng in
-                spec.Algo.Spec.transition ~self:r ~rng:probe_rng received
+              (* Correct candidates go back as their boxed states, random
+                 ones decoded. *)
+              let candidate j =
+                if j < nc then states.(ids.(j))
+                else codec.Algo.Spec.decode_state pool_codes.(j - nc)
               in
-              let baseline_outputs =
-                Array.to_list
-                  (Array.map
-                     (fun r -> spec.Algo.Spec.output ~self:r (truthful_next r))
-                     correct)
-              in
-              matrix ~n ~faulty (fun ~fi:_ ~sender ~recipient ->
-                  if is_faulty faulty recipient then states.(sender)
-                  else begin
-                    let best = ref candidates.(0) in
-                    let best_score = ref min_int in
-                    Array.iter
-                      (fun cand ->
-                        let received = Array.copy states in
-                        received.(sender) <- cand;
-                        let probe_rng = Stdx.Rng.split rng in
-                        let next =
-                          spec.Algo.Spec.transition ~self:recipient ~rng:probe_rng received
-                        in
-                        let o = spec.Algo.Spec.output ~self:recipient next in
-                        let score =
-                          distinct_count Int.compare (o :: baseline_outputs)
-                        in
-                        if score > !best_score then begin
-                          best_score := score;
-                          best := cand
-                        end)
-                      candidates;
-                    !best
-                  end));
+              let nf = Array.length faulty in
+              Array.map
+                (fun sender ->
+                  let row = Array.make n states.(sender) in
+                  for r = 0 to n - 1 do
+                    if not (mem_prefix faulty nf r) then
+                      row.(r) <- candidate (winner ~sender ~recipient:r)
+                  done;
+                  recv.(sender) <- codes.(sender);
+                  row)
+                faulty);
         });
   }
 

@@ -15,11 +15,13 @@
 
     Each standard strategy has one implementation, a flat kernel over
     packed state codes ({!flat_crafter}); its boxed {!crafter} is the same
-    kernel behind a codec adapter. Only {!greedy_confusion} crafts boxed
-    states, and the engine bridges it. The one-line semantics below are
-    the specification: the reference simulator of the test suite
-    ([test/engine_ref]) implements each of them independently over boxed
-    states, and the engine must match it draw for draw. *)
+    kernel behind a codec adapter. {!greedy_confusion} has no flat
+    kernel: its crafter takes and returns boxed states, so the engine
+    bridges it, but its lookahead runs in code space. The one-line
+    semantics below are the specification: the reference simulator of
+    the test suite ([test/engine_ref]) implements each of them
+    independently over boxed states, and the engine must match it draw
+    for draw. *)
 
 type 's crafter = {
   craft :
@@ -137,12 +139,28 @@ val flip_flop : unit -> 's t
     id see the phase inverted. *)
 
 val greedy_confusion : pool:int -> unit -> 's t
-(** The one strategy without a flat kernel. One-step lookahead attack: for each recipient, pick from a candidate
-    pool (true states of all correct nodes plus [pool] random states) the
-    message that, assuming everyone else tells the truth, maximises the
-    spread of next-round outputs among correct nodes. The strongest
-    generic strategy in the suite; costs O(pool * n * transition) per
-    faulty node per round. *)
+(** The one strategy without a flat kernel. One-step lookahead attack:
+    for each correct recipient, pick from a candidate pool (the true
+    states of the correct nodes, in id order, then [pool] random states)
+    the message that, assuming everyone else tells the truth, maximises
+    the spread of next-round outputs among correct nodes; ties go to the
+    first candidate. Faulty recipients get the sender's true state. Every
+    probe transition — one truthful baseline per correct node, then the
+    candidates in order — steps on its own [Rng.split] of the adversary
+    stream. The strongest generic strategy in the suite.
+
+    The boxed crafter runs the lookahead in code space, with one codec
+    kernel per crafter: each round it encodes the states once, and each
+    probe rewrites the sender's slot of a shared received vector, which
+    the Boost kernel's received-vector cache patches as a one-slot
+    change. Since a candidate adds at most one distinct output to the
+    baseline's, the first candidate whose output lies outside it wins,
+    and the scan stops there; each remaining candidate still advances
+    the stream by one split's draw, so executions are the same draw for
+    draw. Cost per round, with [nc] correct nodes: [n] encodes, [nc]
+    baseline kernel steps, at most [nc * (nc + pool)] probe steps per
+    faulty node, and one decode per random candidate that wins. Raises
+    [Invalid_argument] on a negative [pool]. *)
 
 val standard_suite : unit -> 's t list
 (** The adversaries used by tests and experiments: benign, stuck,

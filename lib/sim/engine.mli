@@ -23,7 +23,10 @@
     matrix, with no per-round message matrix and no decoding. A strategy
     without a kernel ([fresh_flat = None], i.e.
     {!Adversary.greedy_confusion}) goes through the bridge for its phase:
-    decode the state vector, call the boxed [craft], re-encode. On
+    decode the state vector, call the boxed [craft], re-encode. For
+    greedy-confusion the bridge is the round's only boxed work; the
+    lookahead inside [craft] re-encodes the states and probes
+    recipients through its own codec kernel. On
     hostile rounds the engine visits recipients grouped by identical
     crafted columns, which keeps received-vector caches inside counting
     kernels hot under equivocating adversaries — sound because every

@@ -7,11 +7,11 @@
    engine bench hold Sim.Engine to it, state for state and draw for
    draw.
 
-   It shares no code with Sim.Engine, Statebuf, the codecs or the flat
-   adversary kernels. What it does share is the RNG layout (a master
-   stream split into init, adversary, one stream per node, corruption),
-   the schedule data type, and Adversary.greedy_confusion's crafter,
-   which is that strategy's only implementation. *)
+   It shares no code with Sim.Engine, Statebuf, the codecs or the
+   library's adversaries: every strategy here, greedy-confusion's
+   lookahead included, is its own boxed implementation. What it does
+   share is the RNG layout (a master stream split into init, adversary,
+   one stream per node, corruption) and the schedule data type. *)
 
 type 's crafter =
   spec:'s Algo.Spec.t ->
@@ -126,6 +126,59 @@ let flip_flop () : 's crafter =
     rows faulty (Array.length states) (fun _ _ r ->
         if (round + r) mod 2 = 0 then s0 else s1)
 
+(* Spread of a multiset of outputs: number of distinct values. *)
+let distinct_count compare values =
+  let sorted = List.sort_uniq compare values in
+  List.length sorted
+
+(* One-step lookahead: for each correct recipient, the candidate (the
+   correct nodes' states, then [pool] random states) that, with everyone
+   else truthful, most spreads the correct nodes' next outputs; the
+   first such candidate on ties. Every probe transition, baseline or
+   candidate, steps on its own split of the adversary stream. *)
+let greedy_confusion pool () : 's crafter =
+ fun ~spec ~rng ~round:_ ~states ~faulty ->
+  let n = Array.length states in
+  let correct = correct_of n faulty in
+  let candidates =
+    Array.append
+      (Array.map (fun v -> states.(v)) correct)
+      (Array.init pool (fun _ -> spec.Algo.Spec.random_state rng))
+  in
+  let truthful_next r =
+    let received = Array.copy states in
+    let probe_rng = Stdx.Rng.split rng in
+    spec.Algo.Spec.transition ~self:r ~rng:probe_rng received
+  in
+  let baseline_outputs =
+    Array.to_list
+      (Array.map
+         (fun r -> spec.Algo.Spec.output ~self:r (truthful_next r))
+         correct)
+  in
+  rows faulty n (fun _ sender recipient ->
+      if Array.mem recipient faulty then states.(sender)
+      else begin
+        let best = ref candidates.(0) in
+        let best_score = ref min_int in
+        Array.iter
+          (fun cand ->
+            let received = Array.copy states in
+            received.(sender) <- cand;
+            let probe_rng = Stdx.Rng.split rng in
+            let next =
+              spec.Algo.Spec.transition ~self:recipient ~rng:probe_rng received
+            in
+            let o = spec.Algo.Spec.output ~self:recipient next in
+            let score = distinct_count Int.compare (o :: baseline_outputs) in
+            if score > !best_score then begin
+              best_score := score;
+              best := cand
+            end)
+          candidates;
+        !best
+      end)
+
 (* The reference crafter for a library strategy, chosen by its name. *)
 let crafter_of (adversary : 's Sim.Adversary.t) : unit -> 's crafter =
   let name = Sim.Adversary.name adversary in
@@ -147,8 +200,7 @@ let crafter_of (adversary : 's Sim.Adversary.t) : unit -> 's crafter =
     | Some offset, _, _, _ -> mimic offset
     | _, Some delay, _, _ -> stale delay
     | _, _, Some delay, _ -> replay_correct delay
-    | _, _, _, Some _ ->
-      fun () -> (adversary.Sim.Adversary.fresh ()).Sim.Adversary.craft
+    | _, _, _, Some pool -> greedy_confusion pool
     | _ -> invalid_arg ("Engine_ref: no reference strategy for " ^ name))
 
 type 's run = {

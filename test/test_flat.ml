@@ -9,7 +9,8 @@
    checker gives on the reference's outputs. Also pins that the hooks
    are inert, that crafting phases are counted against the kernel or the
    bridge, the end_round reporting convention and the surfacing of
-   clamped transient events. *)
+   clamped transient events. A property test holds greedy-confusion's
+   code-space lookahead to the reference's boxed one craft by craft. *)
 
 let check = Alcotest.check
 let case name f = Alcotest.test_case name `Quick f
@@ -391,8 +392,8 @@ let test_zoo_flat_coverage () =
         true
         (a.Sim.Adversary.fresh_flat <> None))
     (Sim.Adversary.standard_suite ());
-  (* One-step lookahead over boxed states is intrinsically boxed: the
-     zoo's only bridged member. *)
+  (* Greedy-confusion keeps a boxed crafter (its lookahead runs in code
+     space inside it): the zoo's only bridged member. *)
   check Alcotest.bool "greedy-confusion has no flat kernel" true
     ((Sim.Adversary.greedy_confusion ~pool:8 ()).Sim.Adversary.fresh_flat
     = None)
@@ -420,7 +421,7 @@ let test_craft_phase_counters () =
     (phases (static (Sim.Adversary.split_brain ())));
   check pair "hidden kernel phase counted as bridged" (0, 1)
     (phases (static (bridged (Sim.Adversary.split_brain ()))));
-  check pair "intrinsically boxed adversary rides the bridge" (0, 1)
+  check pair "kernel-less adversary rides the bridge" (0, 1)
     (phases (static (Sim.Adversary.greedy_confusion ~pool:8 ())));
   check pair "one phase of each" (1, 1)
     (phases
@@ -619,6 +620,50 @@ let test_corruption_json_roundtrip () =
          e')
   | Error msg -> Alcotest.failf "legacy of_json failed: %s" msg
 
+(* ------------------------------------------------------------------ *)
+(* Greedy lookahead: the code-space crafter vs the reference's boxed one *)
+(* ------------------------------------------------------------------ *)
+
+(* Over a few consecutive crafts (one crafter each, as in a phase), with
+   random states and a random faulty set per craft — n = f included —
+   the library crafter and the reference's boxed lookahead send the same
+   messages, compared through the codec, and leave the adversary stream
+   at the same draw. *)
+let greedy_agrees (spec : 's Algo.Spec.t) (seed, pool) =
+  let n = spec.Algo.Spec.n in
+  let encode = (Algo.Spec.codec_exn ~who:"test" spec).Algo.Spec.encode_state in
+  let gen = Stdx.Rng.create seed in
+  let lib = (Sim.Adversary.greedy_confusion ~pool ()).Sim.Adversary.fresh () in
+  let reference = Engine_ref.greedy_confusion pool () in
+  let lib_rng = Stdx.Rng.create (seed + 1) in
+  let ref_rng = Stdx.Rng.create (seed + 1) in
+  let codes m = Array.map (Array.map encode) m in
+  List.for_all
+    (fun round ->
+      let states = Array.init n (fun _ -> spec.Algo.Spec.random_state gen) in
+      let faulty =
+        Array.of_list
+          (List.sort Int.compare
+             (Stdx.Rng.sample_without_replacement gen
+                (Stdx.Rng.int gen (n + 1))
+                n))
+      in
+      let got =
+        lib.Sim.Adversary.craft ~spec ~rng:lib_rng ~round ~states ~faulty
+      in
+      let want = reference ~spec ~rng:ref_rng ~round ~states ~faulty in
+      codes got = codes want
+      && Stdx.Rng.next_int64 (Stdx.Rng.copy lib_rng)
+         = Stdx.Rng.next_int64 (Stdx.Rng.copy ref_rng))
+    [ 0; 1; 2; 3 ]
+
+let greedy_property label spec =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:200
+       ~name:("greedy lookahead = reference: " ^ label)
+       QCheck.(pair small_nat (int_range 0 8))
+       (greedy_agrees spec))
+
 let suite =
   [
     ( "sim.flat",
@@ -672,5 +717,13 @@ let suite =
           test_clamp_not_counted_when_satisfiable;
         case "corruption JSON round-trip and legacy lines"
           test_corruption_json_roundtrip;
+      ] );
+    ( "sim.greedy",
+      [
+        greedy_property "follow-leader" leader_f1;
+        greedy_property "rand-counter" (Counting.Rand_counter.make ~n:4 ~f:1);
+        greedy_property "boost tower A(4,1)" (a41 ());
+        greedy_property "derived codec"
+          (Algo.Spec.with_derived_codec leader_f1);
       ] );
   ]

@@ -211,6 +211,25 @@ let test_delay_validated () =
   rejects "replay-correct" (fun () ->
       Sim.Adversary.replay_correct ~delay:(-3) ())
 
+(* Regression: a negative ~pool used to construct without complaint, and
+   the run then died mid-engine with a bare [Invalid_argument
+   "Array.init"]. It is rejected at construction, by name; pool 0 (the
+   correct nodes' states only) stays legal. *)
+let test_pool_validated () =
+  (match Sim.Adversary.greedy_confusion ~pool:(-1) () with
+  | exception Invalid_argument m ->
+    check Alcotest.bool "error names greedy_confusion and the pool" true
+      (Astring.String.is_infix ~affix:"greedy_confusion" m
+      && Astring.String.is_infix ~affix:"pool" m)
+  | _ -> Alcotest.fail "greedy_confusion ~pool:(-1) constructed");
+  let o =
+    Sim.Engine.run ~mode:Sim.Engine.Full_horizon
+      ~spec:(Algo.Combinators.with_claimed_resilience leader ~f:1)
+      ~adversary:(Sim.Adversary.greedy_confusion ~pool:0 ())
+      ~faulty:[ 0 ] ~rounds:30 ~seed:1 ()
+  in
+  check Alcotest.int "pool 0 runs the horizon" 30 o.Sim.Engine.rounds_simulated
+
 (* delay = 0 is legal and exactly truthful: the "old" state is the one
    pushed this round. *)
 let test_stale_delay_zero_truthful () =
@@ -867,6 +886,7 @@ let suite =
         case "hostile suite excludes benign" test_hostile_suite_excludes_benign;
         case "hostile suite is structural" test_hostile_suite_structural;
         case "negative delay rejected" test_delay_validated;
+        case "negative greedy pool rejected" test_pool_validated;
         case "stale delay 0 is truthful" test_stale_delay_zero_truthful;
         case "delay history fallback" test_delay_history_fallback;
         test_craft_total_qcheck;
