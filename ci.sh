@@ -13,6 +13,10 @@ dune runtest
 # sim.flat rides the loop because its differentials against the
 # reference simulator (test/engine_ref) include chaos campaigns through
 # the parallel harness, run at REPRO_JOBS under the pinned policy.
+# kernel.first_use rides it too: just-constructed specs (a Boost tower
+# through the parallel harness, a Sampled spec on pool workers) whose
+# first kernels race to build the per-spec view tables must reproduce
+# the sequential outcomes under every policy.
 for schedule in inorder cost chunk:3 chunk:auto; do
   REPRO_JOBS=4 REPRO_SCHEDULE="$schedule" \
     dune exec test/main.exe -- test 'stdx.pool' -q
@@ -22,6 +26,8 @@ for schedule in inorder cost chunk:3 chunk:auto; do
     dune exec test/main.exe -- test 'sim.harness.chaos' -q
   REPRO_JOBS=4 REPRO_SCHEDULE="$schedule" \
     dune exec test/main.exe -- test 'sim.flat' -q
+  REPRO_JOBS=4 REPRO_SCHEDULE="$schedule" \
+    dune exec test/main.exe -- test 'kernel.first_use' -q
 done
 REPRO_JOBS=4 dune exec test/main.exe -- test 'stdx.metrics' -q
 REPRO_JOBS=4 dune exec test/main.exe -- test 'sim.telemetry' -q
@@ -43,8 +49,9 @@ REPRO_JOBS=4 dune exec test/main.exe -- test 'sim.hunt.corpus' -q
 
 # The pulling suites, with real concurrency: pulling.sampled runs
 # Pull_sim over one Sampled spec shared by REPRO_JOBS domains and must
-# reproduce the sequential runs (kernel scratch is per run, never per
-# spec); pulling.oracle holds the kernel to the boxed reference.
+# reproduce the sequential runs (view tables are per spec and shared,
+# kernel scratch is per run); pulling.oracle holds the kernel to the
+# boxed reference.
 REPRO_JOBS=4 dune exec test/main.exe -- test 'pulling.*' -q
 
 # Codec smoke: A(324,31) needs 65 state bits per node, more than a

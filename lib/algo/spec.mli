@@ -48,7 +48,12 @@ type 's codec = {
           {!validate} spot-checks both on fresh streams. *)
   fresh_kernel : unit -> kernel;
       (** a fresh kernel with private scratch; called once per engine run
-          so concurrent runs over a shared spec never race *)
+          (and per greedy-lookahead crafter) so concurrent runs over a
+          shared spec never race. Immutable tables a kernel only reads
+          belong to the codec, not the kernel: a codec may build them on
+          its first call and share them with every later kernel, on any
+          domain (the Boost codec does, through {!Stdx.Once}), so after
+          the first call a kernel costs only its scratch *)
 }
 (** Dense integer encoding of the state set [X], the contract behind the
     simulation engine, which runs on packed state vectors only. The

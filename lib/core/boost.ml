@@ -146,42 +146,33 @@ let naive_phase_king_step ~cap ~big_n ~index ~(self : Phase_king.reg) ~received
     in
     { Phase_king.a; d = true }
 
-(* Flat transition kernel: the exact computation of [transition] below, but
-   over packed integer codes. The code layout is
-
-     code = (inner_code * (C + 1) + a_code) * 2 + d_code
-
-   with [a_code = 0] for the reset register (None) and [x + 1] for [Some x]
-   — the same order as the polymorphic compare on [int option], so code
-   order agrees with [compare_state] whenever the inner codec's does.
-
-   All scratch lives in the kernel closure; a kernel instance must not be
-   shared across concurrent runs (see Algo.Spec.codec.fresh_kernel). *)
-let flat_kernel (ic : _ Algo.Spec.codec) p ~big_c view_params () =
-  ignore (view_params : Counter_view.params array);
-  let num_a = big_c + 1 in
-  let cap = big_c in
-  let big_n = p.big_n
-  and n_inner = p.n_inner
-  and k = p.k
-  and big_f = p.big_f
-  and m = p.m
-  and tau = p.tau in
+(* The immutable half of the flat kernel: everything a kernel reads but
+   never writes, fixed by the parameters. Division is the dominant cost
+   of decoding (an idiv per mod/div, and [load_slot] runs on every cache
+   miss), so everything with a small domain is tabulated once per spec:
+   block/slot of a node id, and the (r, b) view of a reduced counter
+   value. The view tables hold one entry per residue mod [modulus.(blk)]
+   — their total size is bounded by k * 3(F+2)(2m)^k, tiny for every
+   practical tower — and the kernel falls back to the division chain if
+   a pathological parameterisation would make them large. *)
+type tables = {
+  blk_of : int array;
+  slot_of : int array;
   (* Per-level view constants of Counter_view.make_params ~tau ~m ~level
      with the default base 2m (the flat kernel is never used for ablated
      variants, which fall back to the generic kernel). *)
+  pow_level : int array;
+  modulus : int array;
+  view_tabs : bool;
+  tab_base : int array;
+  r_tab : int array;
+  b_tab : int array;
+}
+
+let kernel_tables p =
+  let { big_n; n_inner; k; m; tau; _ } = p in
   let pow_level = Array.init k (fun l -> Stdx.Imath.pow (2 * m) l) in
   let modulus = Array.init k (fun l -> tau * pow_level.(l) * 2 * m) in
-  (* Division is the dominant cost of decoding (an idiv per mod/div, and
-     [load_slot] runs on every cache miss), so everything with a small
-     domain is tabulated once per kernel: block/slot of a node id, and
-     the (r, b) view of a reduced counter value. The view tables hold
-     one entry per residue mod [modulus.(blk)] — their total size is
-     bounded by k * 3(F+2)(2m)^k, tiny for every practical tower — and
-     fall back to the division chain if a pathological parameterisation
-     would make them large. *)
-  let blk_of = Array.init big_n (fun u -> u / n_inner) in
-  let slot_of = Array.init big_n (fun u -> u mod n_inner) in
   let tab_base = Array.make k 0 in
   let tab_total =
     let t = ref 0 in
@@ -202,6 +193,43 @@ let flat_kernel (ic : _ Algo.Spec.codec) p ~big_c view_params () =
         b_tab.(base + v') <- v' / tau / pow_level.(l) mod m
       done
     done;
+  {
+    blk_of = Array.init big_n (fun u -> u / n_inner);
+    slot_of = Array.init big_n (fun u -> u mod n_inner);
+    pow_level;
+    modulus;
+    view_tabs;
+    tab_base;
+    r_tab;
+    b_tab;
+  }
+
+(* Flat transition kernel: the exact computation of [transition] below, but
+   over packed integer codes. The code layout is
+
+     code = (inner_code * (C + 1) + a_code) * 2 + d_code
+
+   with [a_code = 0] for the reset register (None) and [x + 1] for [Some x]
+   — the same order as the polymorphic compare on [int option], so code
+   order agrees with [compare_state] whenever the inner codec's does.
+
+   Immutable tables are per spec, built by the first kernel and shared
+   by every later one (on any domain); mutable scratch is per kernel,
+   so a kernel instance must not be shared across concurrent runs (see
+   Algo.Spec.codec.fresh_kernel). *)
+let flat_kernel (ic : _ Algo.Spec.codec) p ~big_c tables () =
+  let { blk_of; slot_of; pow_level; modulus; view_tabs; tab_base; r_tab; b_tab }
+      =
+    Stdx.Once.get tables
+  in
+  let num_a = big_c + 1 in
+  let cap = big_c in
+  let big_n = p.big_n
+  and n_inner = p.n_inner
+  and k = p.k
+  and big_f = p.big_f
+  and m = p.m
+  and tau = p.tau in
   (* Scratch: the decoded (r, b) views and a-registers of all N nodes, the
      per-block leader ballots, the inner-block message codes, and the
      phase-king histogram (kept in sync with [cached]). *)
@@ -521,7 +549,11 @@ let construct_gen ?ablation ~(inner : 's Algo.Spec.t) ~k ~big_f ~big_c () =
         in
         let fresh_kernel =
           match ablation with
-          | None -> flat_kernel ic p ~big_c view_params
+          | None ->
+            (* Built on the first kernel, not here: constructing a spec
+               that never runs stays cheap. *)
+            flat_kernel ic p ~big_c
+              (Stdx.Once.make (fun () -> kernel_tables p))
           | Some _ ->
             (* Ablated variants stay on the reference kernel so their
                deliberately broken semantics are preserved verbatim. *)

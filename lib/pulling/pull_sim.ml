@@ -1,48 +1,50 @@
-type 's responder = {
-  resp_name : string;
-  respond :
-    spec:'s Pull_spec.t ->
-    rng:Stdx.Rng.t ->
-    round:int ->
-    states:'s array ->
-    target:int ->
-    puller:int ->
-    's;
-}
+type 's respond =
+  spec:'s Pull_spec.t ->
+  rng:Stdx.Rng.t ->
+  round:int ->
+  states:'s array ->
+  target:int ->
+  puller:int ->
+  's
+
+type 's responder = { resp_name : string; fresh : unit -> 's respond }
 
 let truthful_responder () =
   {
     resp_name = "truthful";
-    respond =
-      (fun ~spec:_ ~rng:_ ~round:_ ~states ~target ~puller:_ -> states.(target));
+    fresh =
+      (fun () ~spec:_ ~rng:_ ~round:_ ~states ~target ~puller:_ ->
+        states.(target));
   }
 
 let random_responder () =
   {
     resp_name = "random";
-    respond =
-      (fun ~spec ~rng ~round:_ ~states:_ ~target:_ ~puller:_ ->
+    fresh =
+      (fun () ~spec ~rng ~round:_ ~states:_ ~target:_ ~puller:_ ->
         spec.Pull_spec.random_state rng);
   }
 
 let stuck_responder () =
-  let frozen = Hashtbl.create 8 in
   {
     resp_name = "stuck";
-    respond =
-      (fun ~spec:_ ~rng:_ ~round:_ ~states ~target ~puller:_ ->
-        match Hashtbl.find_opt frozen target with
-        | Some s -> s
-        | None ->
-          Hashtbl.replace frozen target states.(target);
-          states.(target));
+    fresh =
+      (fun () ->
+        let frozen = Hashtbl.create 8 in
+        fun ~spec:_ ~rng:_ ~round:_ ~states ~target ~puller:_ ->
+          match Hashtbl.find_opt frozen target with
+          | Some s -> s
+          | None ->
+            Hashtbl.replace frozen target states.(target);
+            states.(target));
   }
 
 let mirror_responder () =
   {
     resp_name = "mirror";
-    respond =
-      (fun ~spec:_ ~rng:_ ~round:_ ~states ~target:_ ~puller -> states.(puller));
+    fresh =
+      (fun () ~spec:_ ~rng:_ ~round:_ ~states ~target:_ ~puller ->
+        states.(puller));
   }
 
 let standard_responders () =
@@ -70,12 +72,14 @@ type 's run = {
    going; the RNG stream layout is identical for every caller so the
    streaming and full-trace entry points replay the same execution.
 
-   One kernel serves the whole run, and every per-round array is a
-   buffer reused across rounds: the state vectors are double-buffered,
-   and [observe] sees the live buffers, so it must copy what it keeps. *)
+   One kernel and one responder instance serve the whole run, and every
+   per-round array is a buffer reused across rounds: the state vectors
+   are double-buffered, and [observe] sees the live buffers, so it must
+   copy what it keeps. *)
 let simulate ?init ~(spec : 's Pull_spec.t) ~responder ~faulty ~rounds ~seed
     ~observe () =
   let n = spec.Pull_spec.n in
+  if rounds < 0 then invalid_arg "Pull_sim.run: negative rounds";
   let sorted = List.sort_uniq Int.compare faulty in
   if List.length sorted <> List.length faulty then
     invalid_arg "Pull_sim.run: duplicate faulty ids";
@@ -98,6 +102,7 @@ let simulate ?init ~(spec : 's Pull_spec.t) ~responder ~faulty ~rounds ~seed
     | None -> Array.init n (fun _ -> spec.Pull_spec.random_state init_rng)
   in
   let kernel = spec.Pull_spec.fresh_kernel () in
+  let respond = responder.fresh () in
   let budget = spec.Pull_spec.pull_budget in
   let targets = Array.make budget 0 in
   let responses = Array.make budget initial.(0) in
@@ -131,8 +136,8 @@ let simulate ?init ~(spec : 's Pull_spec.t) ~responder ~faulty ~rounds ~seed
                let u = targets.(i) in
                responses.(i) <-
                  (if is_faulty.(u) then
-                    responder.respond ~spec ~rng:adv_rng ~round:!t ~states
-                      ~target:u ~puller:v
+                    respond ~spec ~rng:adv_rng ~round:!t ~states ~target:u
+                      ~puller:v
                   else states.(u))
              done;
              kernel.Pull_spec.transition ~self:v ~rng ~own:states.(v) ~targets
@@ -155,16 +160,19 @@ let bits_pulled_per_round ~(spec : 's Pull_spec.t) ~faulty ~rounds ~total_pulls
     /. float_of_int (rounds * correct_count)
 
 let run ?init ~(spec : 's Pull_spec.t) ~responder ~faulty ~rounds ~seed () =
-  let states = Array.make (rounds + 1) [||] in
-  let outputs = Array.make (rounds + 1) [||] in
-  let observe ~round ~states:s ~outputs:o =
-    states.(round) <- Array.copy s;
-    outputs.(round) <- Array.copy o;
+  (* Rows are kept newest first and reversed at the end, so nothing is
+     sized from [rounds] before [simulate] has validated it. *)
+  let states = ref [] and outputs = ref [] in
+  let observe ~round:_ ~states:s ~outputs:o =
+    states := Array.copy s :: !states;
+    outputs := Array.copy o :: !outputs;
     true
   in
   let faulty, _, _, max_pulls, total_pulls =
     simulate ?init ~spec ~responder ~faulty ~rounds ~seed ~observe ()
   in
+  let states = Array.of_list (List.rev !states)
+  and outputs = Array.of_list (List.rev !outputs) in
   {
     spec;
     faulty;

@@ -1,24 +1,30 @@
 (** Simulator for the pulling model, with per-node message accounting.
 
     A run makes one kernel from the spec ({!Pull_spec.t.fresh_kernel})
-    and reuses its target, response, output and state buffers across
+    and one instance of the responder ({!responder.fresh}), and reuses its target, response, output and state buffers across
     rounds. The RNG layout is fixed: a master stream seeded by [seed]
     splits, in order, the initial-state stream, the responder stream
     and one stream per node. *)
 
+type 's respond =
+  spec:'s Pull_spec.t ->
+  rng:Stdx.Rng.t ->
+  round:int ->
+  states:'s array ->
+  target:int ->
+  puller:int ->
+  's
+(** What faulty node [target] answers to [puller] this round. [states] is
+    a buffer the simulator reuses, so a responder may keep its elements
+    but not the array. *)
+
 type 's responder = {
   resp_name : string;
-  respond :
-    spec:'s Pull_spec.t ->
-    rng:Stdx.Rng.t ->
-    round:int ->
-    states:'s array ->
-    target:int ->
-    puller:int ->
-    's;
-      (** what faulty node [target] answers to [puller] this round;
-          [states] is a buffer the simulator reuses, so a responder may
-          keep its elements but not the array *)
+  fresh : unit -> 's respond;
+      (** a per-run instance: anything a responder remembers (the stuck
+          responder's frozen answers) lives in the instance, which the
+          simulator makes once per run, so one responder value serves
+          any number of runs, sequential or concurrent *)
 }
 
 val truthful_responder : unit -> 's responder
@@ -26,7 +32,8 @@ val random_responder : unit -> 's responder
 (** A fresh random state per request — per-puller equivocation. *)
 
 val stuck_responder : unit -> 's responder
-(** Always answers with the state held at the first request. *)
+(** Always answers with the state the target held at the first request
+    of the run. *)
 
 val mirror_responder : unit -> 's responder
 (** Answers with the puller's own current state — a flattery attack that

@@ -48,7 +48,10 @@ type 's t = {
   pull_budget : int;  (** worst-case pulls of a non-faulty node per round *)
   fresh_kernel : unit -> 's kernel;
       (** a fresh kernel with private scratch; called once per run so
-          concurrent runs over a shared spec never race *)
+          concurrent runs over a shared spec never race. Read-only
+          tables may be built on the first call and shared by every
+          later kernel, on any domain ({!Sampled} does, through
+          {!Stdx.Once}) *)
   output : self:int -> 's -> int;
 }
 

@@ -38,6 +38,50 @@ let majority (a : int array) len =
   done;
   if !cnt * 2 > len then !candidate else 0
 
+(* The immutable half of the kernel, fixed by the parameters: block
+   slots, block-peer lists and counter-view tables.
+
+   Counter views (Section 3.2). Block l's view of an inner counter
+   value is Counter_view.of_value at level l, whose modulus
+   tau (2m)^(l+1) divides [top] = tau (2m)^k; reducing the value once
+   mod [top] therefore serves every level, and the (r, b) pair of each
+   level is tabulated over [0, top) unless that would be large. *)
+type tables = {
+  slot_of : int array;
+  peers : int array;  (* node v's n-1 block peers at [v * (n-1)] *)
+  pow_level : int array;
+  view_tabs : bool;
+  r_tab : int array;
+  b_tab : int array;  (* level l's b-view of v at [l * top + v] *)
+}
+
+let kernel_tables (p : Counting.Boost.params) =
+  let k = p.Counting.Boost.k
+  and m = p.Counting.Boost.m
+  and n_inner = p.Counting.Boost.n_inner
+  and big_n = p.Counting.Boost.big_n
+  and tau = p.Counting.Boost.tau
+  and top = p.Counting.Boost.required_inner_c in
+  let peer_count = n_inner - 1 in
+  let slot_of = Array.init big_n (fun u -> u mod n_inner) in
+  let pow_level = Array.init k (fun l -> Stdx.Imath.pow (2 * m) l) in
+  let view_tabs = (k + 1) * top <= 1 lsl 20 in
+  {
+    slot_of;
+    peers =
+      Array.init (big_n * peer_count) (fun i ->
+          let self = i / peer_count and j = i mod peer_count in
+          let slot = slot_of.(self) in
+          self - slot + if j < slot then j else j + 1);
+    pow_level;
+    view_tabs;
+    r_tab = Array.init (if view_tabs then top else 0) (fun v -> v mod tau);
+    b_tab =
+      Array.init (if view_tabs then k * top else 0) (fun i ->
+          let l = i / top and v = i mod top in
+          v / tau / pow_level.(l) mod m);
+  }
+
 (* The per-run kernel. Pull targets are laid out as
 
      [ n-1 block peers | M samples of block 0 | ... | M of block k-1
@@ -45,41 +89,25 @@ let majority (a : int array) len =
 
    where the king part is all F+2 potential kings (All_kings) or the
    predicted king, present iff the predicted instruction is a king round
-   (Predicted). All scratch is created here, once per run, so the spec
-   itself stays immutable and shareable across domains. *)
+   (Predicted). The tables are per spec, built by the first kernel and
+   shared by every later one; all mutable scratch is created here, once
+   per run, so one spec can serve concurrent runs on several domains. *)
 let fresh_kernel ~king_mode ~fixed_links ~(inner : 's Algo.Spec.t)
-    (ic : 's Algo.Spec.codec) (p : Counting.Boost.params) ~samples () :
+    (ic : 's Algo.Spec.codec) (p : Counting.Boost.params) ~samples tables () :
     's state Pull_spec.kernel =
+  let { slot_of; peers; pow_level; view_tabs; r_tab; b_tab } =
+    Stdx.Once.get tables
+  in
   let k = p.Counting.Boost.k
   and m = p.Counting.Boost.m
   and n_inner = p.Counting.Boost.n_inner
   and big_n = p.Counting.Boost.big_n
   and tau = p.Counting.Boost.tau
-  and cap = p.Counting.Boost.big_c in
+  and cap = p.Counting.Boost.big_c
+  and top = p.Counting.Boost.required_inner_c in
   let peer_count = n_inner - 1 in
   let pk_base = peer_count + (k * samples) in
   let full_pulls = pk_base + samples + 1 in
-  let slot_of = Array.init big_n (fun u -> u mod n_inner) in
-  let peers =
-    Array.init (big_n * peer_count) (fun i ->
-        let self = i / peer_count and j = i mod peer_count in
-        let slot = slot_of.(self) in
-        self - slot + (if j < slot then j else j + 1))
-  in
-  (* Counter views (Section 3.2). Block l's view of an inner counter
-     value is Counter_view.of_value at level l, whose modulus
-     tau (2m)^(l+1) divides [top] = tau (2m)^k; reducing the value once
-     mod [top] therefore serves every level, and the (r, b) pair of each
-     level is tabulated over [0, top) unless that would be large. *)
-  let top = p.Counting.Boost.required_inner_c in
-  let pow_level = Array.init k (fun l -> Stdx.Imath.pow (2 * m) l) in
-  let view_tabs = (k + 1) * top <= 1 lsl 20 in
-  let r_tab = Array.init (if view_tabs then top else 0) (fun v -> v mod tau) in
-  let b_tab =
-    Array.init (if view_tabs then k * top else 0) (fun i ->
-        let l = i / top and v = i mod top in
-        v / tau / pow_level.(l) mod m)
-  in
   let reduce value =
     if value >= 0 && value < top then value else Stdx.Imath.imod value top
   in
@@ -294,7 +322,11 @@ let construct_gen ~king_mode ~links_seed ~(inner : 's Algo.Spec.t) ~k ~big_f
         pp_state;
         random_state;
         pull_budget = pulls_per_round;
-        fresh_kernel = fresh_kernel ~king_mode ~fixed_links ~inner ic p ~samples;
+        fresh_kernel =
+          (* Tables are built on the first kernel, not here: a spec that
+             never runs costs only its plan. *)
+          fresh_kernel ~king_mode ~fixed_links ~inner ic p ~samples
+            (Stdx.Once.make (fun () -> kernel_tables p));
         output =
           (fun ~self:_ (s : 's state) ->
             match s.a with Some x -> x mod big_c | None -> 0);

@@ -34,9 +34,13 @@
 
     {b Execution.} The spec's per-run kernel ({!Pull_spec.t.fresh_kernel})
     steps each block's inner counter through one instance of the inner
-    codec's flat kernel, reads counter views from tables built per run,
-    and counts the phase-king samples in an integer histogram. Nothing
-    mutable lives in the spec, so one spec can serve concurrent runs. *)
+    codec's flat kernel, reads counter views from tables, and counts the
+    phase-king samples in an integer histogram. The tables (block
+    slots, peer lists, counter views) are immutable and per spec: the
+    first kernel builds them, not [construct], so a spec that never runs
+    costs only its plan, and every later kernel on any domain shares
+    them. Mutable scratch is per kernel, so one spec can serve
+    concurrent runs. *)
 
 type 's state = {
   inner : 's;

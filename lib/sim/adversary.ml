@@ -298,6 +298,9 @@ type 's lookahead = {
   ids : int array;  (* correct ids, ascending *)
   baseline : int array;  (* truthful next outputs of [ids], in order *)
   pool_codes : int array;  (* this round's random candidates *)
+  probe_rng : Stdx.Rng.t;
+      (* reseeded per probe by [Rng.split_into]: the split each probe
+         steps on, without allocating one *)
 }
 
 let lookahead_create (spec : 's Algo.Spec.t) ~pool ~n =
@@ -310,6 +313,7 @@ let lookahead_create (spec : 's Algo.Spec.t) ~pool ~n =
     ids = Array.make n 0;
     baseline = Array.make n 0;
     pool_codes = Array.make pool 0;
+    probe_rng = Stdx.Rng.create 0;
   }
 
 let greedy_confusion ~pool () =
@@ -340,6 +344,7 @@ let greedy_confusion ~pool () =
               let step = la.kernel.Algo.Spec.step in
               let codes = la.codes and recv = la.recv and ids = la.ids in
               let baseline = la.baseline and pool_codes = la.pool_codes in
+              let probe_rng = la.probe_rng in
               let n = Array.length states in
               for v = 0 to n - 1 do
                 let c = codec.Algo.Spec.encode_state states.(v) in
@@ -357,7 +362,8 @@ let greedy_confusion ~pool () =
                  split of the adversary stream. *)
               for i = 0 to nc - 1 do
                 let r = ids.(i) in
-                let next = step ~self:r ~rng:(Stdx.Rng.split rng) recv in
+                Stdx.Rng.split_into rng probe_rng;
+                let next = step ~self:r ~rng:probe_rng recv in
                 baseline.(i) <- codec.Algo.Spec.output_code ~self:r next
               done;
               (* The first candidate whose probed output lies outside the
@@ -368,9 +374,8 @@ let greedy_confusion ~pool () =
                 while !best < 0 && !j < num_cands do
                   recv.(sender) <-
                     (if !j < nc then codes.(ids.(!j)) else pool_codes.(!j - nc));
-                  let next =
-                    step ~self:recipient ~rng:(Stdx.Rng.split rng) recv
-                  in
+                  Stdx.Rng.split_into rng probe_rng;
+                  let next = step ~self:recipient ~rng:probe_rng recv in
                   if
                     not
                       (mem_prefix baseline nc
@@ -381,7 +386,7 @@ let greedy_confusion ~pool () =
                 (* Early exit: advance the stream past the candidates left
                    unprobed, one split's draw each. *)
                 for _ = !j to num_cands - 1 do
-                  ignore (Stdx.Rng.next_int64 rng)
+                  Stdx.Rng.skip rng
                 done;
                 max !best 0
               in

@@ -147,7 +147,9 @@ val greedy_confusion : pool:int -> unit -> 's t
     first candidate. Faulty recipients get the sender's true state. Every
     probe transition — one truthful baseline per correct node, then the
     candidates in order — steps on its own [Rng.split] of the adversary
-    stream. The strongest generic strategy in the suite.
+    stream (reseeded into one scratch generator per crafter with
+    [Rng.split_into], so a probe allocates no generator). The strongest
+    generic strategy in the suite.
 
     The boxed crafter runs the lookahead in code space, with one codec
     kernel per crafter: each round it encodes the states once, and each
@@ -156,8 +158,8 @@ val greedy_confusion : pool:int -> unit -> 's t
     change. Since a candidate adds at most one distinct output to the
     baseline's, the first candidate whose output lies outside it wins,
     and the scan stops there; each remaining candidate still advances
-    the stream by one split's draw, so executions are the same draw for
-    draw. Cost per round, with [nc] correct nodes: [n] encodes, [nc]
+    the stream by one split's draw ([Rng.skip]), so executions are the
+    same draw for draw. Cost per round, with [nc] correct nodes: [n] encodes, [nc]
     baseline kernel steps, at most [nc * (nc + pool)] probe steps per
     faulty node, and one decode per random candidate that wins. Raises
     [Invalid_argument] on a negative [pool]. *)

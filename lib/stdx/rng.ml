@@ -27,6 +27,13 @@ let[@inline] next_int64 t =
 
 let split t = of_state (next_int64 t)
 
+(* [next_int64] inlines here, so [split_into] never boxes the draw;
+   [skip] advances the state without computing an output at all. *)
+let split_into t dst = Bytes.set_int64_ne dst 0 (next_int64 t)
+
+let skip t =
+  Bytes.set_int64_ne t 0 (Int64.add (Bytes.get_int64_ne t 0) golden_gamma)
+
 let bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 34)
 
 (* Top 61 bits of the next output: a non-negative native int. *)

@@ -23,6 +23,16 @@ val split : t -> t
 (** [split t] advances [t] and returns a new generator seeded from it.
     Streams of the parent and the child are statistically independent. *)
 
+val split_into : t -> t -> unit
+(** [split_into t dst] advances [t] exactly as [split t] does and
+    reseeds [dst] to the state [split t] would have returned, so [dst]
+    then draws the child's stream. It allocates nothing: a caller that
+    splits per operation can keep one scratch generator. *)
+
+val skip : t -> unit
+(** [skip t] advances [t] by one draw, like [ignore (next_int64 t)] but
+    without computing or boxing the output. *)
+
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 

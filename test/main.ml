@@ -7,4 +7,4 @@ let () =
    @ Test_telemetry.suite @ Test_obs.suite
    @ Test_phase_king.suite
    @ Test_counter_view.suite @ Test_rand_counter.suite @ Test_boost.suite
-   @ Test_plan.suite @ Test_mc.suite @ Test_pulling.suite)
+   @ Test_plan.suite @ Test_mc.suite @ Test_pulling.suite @ Test_tables.suite)

@@ -205,6 +205,7 @@ let simulate ?init ~(spec : 's Pulling.Pull_spec.t) ~(ops : 's ops)
     | Some s -> Array.copy s
     | None -> Array.init n (fun _ -> ops.random_state init_rng)
   in
+  let respond = responder.Pulling.Pull_sim.fresh () in
   let max_pulls = ref 0 in
   let total_pulls = ref 0 in
   let current = ref initial in
@@ -229,8 +230,8 @@ let simulate ?init ~(spec : 's Pulling.Pull_spec.t) ~(ops : 's ops)
                   (fun u ->
                     let reply =
                       if is_faulty.(u) then
-                        responder.Pulling.Pull_sim.respond ~spec ~rng:adv_rng
-                          ~round:!t ~states:cur ~target:u ~puller:v
+                        respond ~spec ~rng:adv_rng ~round:!t ~states:cur
+                          ~target:u ~puller:v
                       else cur.(u)
                     in
                     (u, reply))

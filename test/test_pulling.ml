@@ -100,6 +100,33 @@ let test_pull_sim_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* Negative horizons are rejected by name on both entry points, before
+   anything is sized from them. *)
+let test_pull_sim_negative_rounds () =
+  let spec = pull_leader ~n:4 ~c:3 in
+  let responder = Pulling.Pull_sim.truthful_responder () in
+  let expect = Invalid_argument "Pull_sim.run: negative rounds" in
+  List.iter
+    (fun rounds ->
+      Alcotest.check_raises (Printf.sprintf "run ~rounds:%d" rounds) expect
+        (fun () ->
+          ignore
+            (Pulling.Pull_sim.run ~spec ~responder ~faulty:[] ~rounds ~seed:1
+               ()));
+      Alcotest.check_raises
+        (Printf.sprintf "run_stream ~rounds:%d" rounds)
+        expect
+        (fun () ->
+          ignore
+            (Pulling.Pull_sim.run_stream ~min_suffix:4 ~spec ~responder
+               ~faulty:[] ~rounds ~seed:1 ())))
+    [ -1; -2 ];
+  let r =
+    Pulling.Pull_sim.run ~spec ~responder ~faulty:[] ~rounds:0 ~seed:1 ()
+  in
+  check Alcotest.int "rounds 0 keeps the initial row" 1
+    (Array.length r.Pulling.Pull_sim.outputs)
+
 (* The streaming path replays the exact same execution (identical RNG
    stream) as the full-trace path, so without early exit its verdict must
    equal the offline checker on run's trace; with early exit it may only
@@ -145,7 +172,7 @@ let test_responders_answer () =
   List.iter
     (fun responder ->
       let v =
-        responder.Pulling.Pull_sim.respond ~spec ~rng:(Stdx.Rng.create 1)
+        responder.Pulling.Pull_sim.fresh () ~spec ~rng:(Stdx.Rng.create 1)
           ~round:0 ~states:[| 0; 1; 2; 0 |] ~target:1 ~puller:2
       in
       check Alcotest.bool
@@ -158,7 +185,7 @@ let test_mirror_responder () =
   let spec = pull_leader ~n:4 ~c:3 in
   let r = Pulling.Pull_sim.mirror_responder () in
   let v =
-    r.Pulling.Pull_sim.respond ~spec ~rng:(Stdx.Rng.create 1) ~round:0
+    r.Pulling.Pull_sim.fresh () ~spec ~rng:(Stdx.Rng.create 1) ~round:0
       ~states:[| 0; 1; 2; 0 |] ~target:1 ~puller:2
   in
   check Alcotest.int "echoes the puller" 2 v
@@ -169,6 +196,38 @@ let test_mirror_responder () =
 
 let sampled ~samples =
   Pulling.Sampled.construct ~inner:inner41 ~k:3 ~big_f:3 ~big_c:8 ~samples
+
+(* Responder memory belongs to a run: one responder value used for two
+   runs must give what two fresh responders give. The stuck responder
+   freezes the first answer of each target, so a frozen table that
+   outlived its run would replay the first run's states in the second. *)
+let test_responder_reused_across_runs () =
+  let spec = (sampled ~samples:16).Pulling.Sampled.spec in
+  let go responder seed =
+    let r =
+      Pulling.Pull_sim.run_stream ~early_exit:false ~min_suffix:64 ~spec
+        ~responder ~faulty:[ 0; 5; 9 ] ~rounds:300 ~seed ()
+    in
+    (r.Pulling.Pull_sim.stream_total_pulls, r.Pulling.Pull_sim.final_states)
+  in
+  List.iter
+    (fun (make : unit -> _ Pulling.Pull_sim.responder) ->
+      let shared = make () in
+      let name = shared.Pulling.Pull_sim.resp_name in
+      List.iter
+        (fun seed ->
+          let reused_pulls, reused = go shared seed in
+          let fresh_pulls, fresh = go (make ()) seed in
+          check Alcotest.int
+            (Printf.sprintf "%s seed %d: total pulls" name seed)
+            fresh_pulls reused_pulls;
+          check Alcotest.bool
+            (Printf.sprintf "%s seed %d: final states" name seed)
+            true
+            (Array.for_all2 spec.Pulling.Pull_spec.equal_state fresh reused))
+        [ 1; 2 ])
+    Pulling.Pull_sim.
+      [ stuck_responder; random_responder; truthful_responder; mirror_responder ]
 
 let test_sampled_shape () =
   let s = sampled ~samples:4 in
@@ -474,9 +533,11 @@ let suite =
         case "pull-leader stabilises" test_pull_sim_stabilises_leader;
         case "reproducible" test_pull_sim_reproducible;
         case "validation" test_pull_sim_validation;
+        case "negative rounds rejected" test_pull_sim_negative_rounds;
         case "stream matches offline checker" test_pull_sim_stream_matches_offline;
         case "responders answer" test_responders_answer;
         case "mirror responder" test_mirror_responder;
+        case "responder reused across runs" test_responder_reused_across_runs;
       ] );
     ( "pulling.sampled",
       [

@@ -39,6 +39,40 @@ let test_rng_split_diverges () =
   let ys = List.init 10 (fun _ -> Stdx.Rng.next_int64 b) in
   check Alcotest.bool "split streams differ" true (xs <> ys)
 
+(* [split_into]/[skip] are the allocation-free forms of [split] and
+   [ignore (next_int64 _)]: after either, both generators must stand
+   exactly where the allocating forms leave them. *)
+let test_rng_split_into_skip =
+  qcheck "split_into/skip match split/next_int64"
+    QCheck.(triple int (int_range 0 20) (int_range 0 5))
+    (fun (seed, pre, skips) ->
+      let a = Stdx.Rng.create seed in
+      for _ = 1 to pre do
+        ignore (Stdx.Rng.next_int64 a)
+      done;
+      let b = Stdx.Rng.copy a in
+      let child = Stdx.Rng.split a in
+      let dst = Stdx.Rng.create (seed + 1) in
+      Stdx.Rng.split_into b dst;
+      for _ = 1 to skips do
+        ignore (Stdx.Rng.next_int64 a);
+        Stdx.Rng.skip b
+      done;
+      let draws t = List.init 4 (fun _ -> Stdx.Rng.next_int64 t) in
+      draws a = draws b && draws child = draws dst)
+
+let test_rng_split_into_no_allocation () =
+  let t = Stdx.Rng.create 9 and dst = Stdx.Rng.create 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    Stdx.Rng.split_into t dst;
+    Stdx.Rng.skip t
+  done;
+  let words = Gc.minor_words () -. before in
+  check Alcotest.bool
+    (Printf.sprintf "split_into/skip allocate nothing (%.0f words)" words)
+    true (words < 100.0)
+
 let test_rng_int_bounds =
   qcheck "Rng.int stays in bounds"
     QCheck.(pair small_int (int_range 1 1000))
@@ -213,6 +247,62 @@ let test_rng_no_allocation () =
   check Alcotest.bool
     (Printf.sprintf "int/bits allocate nothing (%.0f words)" words)
     true (words < 100.0)
+
+(* ------------------------------------------------------------------ *)
+(* Once                                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Several domains force the same fresh cells in the same order, so the
+   first uses race. Every caller of a cell must get one physically equal
+   value, whichever build won. *)
+let test_once_concurrent () =
+  let domains = 4 and cells = 200 in
+  let builds = Atomic.make 0 in
+  let cell_array =
+    Array.init cells (fun i ->
+        Stdx.Once.make (fun () ->
+            Atomic.incr builds;
+            Array.init 512 (fun j -> i + j)))
+  in
+  let go = Atomic.make false in
+  let workers =
+    List.init domains (fun _ ->
+        Domain.spawn (fun () ->
+            while not (Atomic.get go) do
+              Domain.cpu_relax ()
+            done;
+            Array.map Stdx.Once.get cell_array))
+  in
+  Atomic.set go true;
+  let seen = List.map Domain.join workers in
+  Array.iteri
+    (fun i cell ->
+      let v = Stdx.Once.get cell in
+      check Alcotest.int "built from its own parameters" i v.(0);
+      List.iter
+        (fun got ->
+          if got.(i) != v then
+            Alcotest.failf "cell %d: a caller kept a losing build" i)
+        seen)
+    cell_array;
+  let b = Atomic.get builds in
+  check Alcotest.bool
+    (Printf.sprintf "every cell built, none more than once per domain (%d)" b)
+    true
+    (b >= cells && b <= cells * domains)
+
+let test_once_exception () =
+  let attempts = ref 0 in
+  let cell =
+    Stdx.Once.make (fun () ->
+        incr attempts;
+        if !attempts = 1 then failwith "first build fails" else !attempts)
+  in
+  Alcotest.check_raises "build failure propagates"
+    (Failure "first build fails") (fun () -> ignore (Stdx.Once.get cell));
+  check Alcotest.int "next caller builds again" 2 (Stdx.Once.get cell);
+  check Alcotest.int "then the value is kept" 2 (Stdx.Once.get cell);
+  check Alcotest.int "two builds in all" 2 !attempts
 
 (* ------------------------------------------------------------------ *)
 (* Imath                                                                *)
@@ -648,6 +738,14 @@ let suite =
         test_rng_int_matches_reference;
         case "golden first draws" test_rng_golden;
         case "draws do not allocate" test_rng_no_allocation;
+        test_rng_split_into_skip;
+        case "split_into/skip do not allocate"
+          test_rng_split_into_no_allocation;
+      ] );
+    ( "stdx.once",
+      [
+        case "concurrent first use shares one value" test_once_concurrent;
+        case "failed build leaves the cell empty" test_once_exception;
       ] );
     ( "stdx.imath",
       [
